@@ -24,10 +24,27 @@ from .errors import (
 )
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
-from .linalg import DualMatrix, adjoint, structure_residual
+from .linalg import (
+    FLAVOR_T,
+    ISOMETRY,
+    DualMatrix,
+    adjoint,
+    require_square,
+    structure_residual,
+)
+from .spectral import star_spectral, t_spectral
 from .svd import penrose_residuals, pinv_t, svd, t_polar
 
-KINDS = ("t-svd", "star-svd", "t-spectral", "star-spectral", "t-polar", "pinv")
+# Each kind's flavor and the factors its result document carries.
+KIND_FACTORS = {
+    "t-svd": ("T", ("u", "sigma", "v")),
+    "star-svd": ("star", ("u", "sigma", "v")),
+    "t-spectral": ("T", ("v", "sigma")),
+    "star-spectral": ("star", ("v", "sigma")),
+    "t-polar": ("T", ("u", "p")),
+    "pinv": ("T", ("pinv",)),
+}
+KINDS = tuple(KIND_FACTORS)
 
 _PRECONDITION_ERRORS = (
     NotSquare,
@@ -48,88 +65,93 @@ def _load_matrix(path: str) -> DualMatrix:
     return fileformat.parse_matrix(text)
 
 
-def _require_square(m: DualMatrix):
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"decomposition commands need a square matrix: {m.shape}")
-
-
-def _diag_summary(diag) -> dict:
-    return {"diag": [[d.std, d.inf] for d in diag]}
-
-
-def _block_summary(blocks) -> dict:
+def _summary(r) -> dict:
+    """The diagonal (T) or block (star) summary of an SVD or spectral result."""
+    if r.flavor == FLAVOR_T:
+        return {"diag": [[d.std, d.inf] for d in r.diag]}
     return {
         "blocks": [
             {"size": b.size, "sigma": float(b.sigma), "sigma_prime": float(b.sigma_prime)}
-            for b in blocks
+            for b in r.blocks
         ]
     }
 
 
-def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:
-    _require_square(m)
-    doc: dict = {"kind": kind, "rows": m.shape[0], "cols": m.shape[1], "outcome": "ok"}
+def _maxabs(a: np.ndarray, mask: np.ndarray) -> float:
+    return float(np.abs(a[mask]).max()) if mask.any() else 0.0
 
-    if kind in ("t-svd", "star-svd"):
-        flavor = "T" if kind == "t-svd" else "star"
-        r = svd(m, flavor, tol, cluster_tol)
-        struct = "t_orthogonal" if flavor == "T" else "unitary"
-        doc["factors"] = {
-            "u": fileformat.matrix_to_obj(r.u),
-            "sigma": fileformat.matrix_to_obj(r.sigma),
-            "v": fileformat.matrix_to_obj(r.v),
-        }
-        doc["summary"] = _diag_summary(r.diag) if flavor == "T" else _block_summary(r.blocks)
-        doc["residuals"] = {
-            "reconstruction": r.residual,
-            "u_structure": structure_residual(r.u, struct),
-            "v_structure": structure_residual(r.v, struct),
-        }
-    elif kind in ("t-spectral", "star-spectral"):
-        from .spectral import star_spectral, t_spectral
 
-        if kind == "t-spectral":
-            dec = t_spectral(m, tol, cluster_tol)
-            struct = "t_orthogonal"
-            doc["summary"] = _diag_summary(dec.diag)
+def _offdiag_residual(sigma: DualMatrix) -> float:
+    off = ~np.eye(sigma.shape[0], dtype=bool)
+    return max(_maxabs(sigma.std, off), _maxabs(sigma.inf, off))
+
+
+def _star_sigma_form_residual(sigma: DualMatrix) -> float:
+    """Departure of sigma from the legal star block pattern: real diagonal
+    standard part, infinitesimal part skew with support on the diagonal and
+    the adjacent off-diagonals."""
+    n = sigma.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
+    return max(
+        _maxabs(sigma.std, off),
+        _maxabs(sigma.inf, far),
+        _maxabs(sigma.inf + sigma.inf.T, off),
+    )
+
+
+def _invariants(m: DualMatrix, kind: str, f: dict, tol: float):
+    """Yield (name, residual, limit) for every invariant of a result whose
+    factors are ``f``.  Isometries are unit-scale, so their limit is ``tol``;
+    every other residual scales with M."""
+    flavor = KIND_FACTORS[kind][0]
+    lim = tol * max(1.0, m.norm())
+    for name in ("u", "v"):
+        if name in f:
+            yield f"{name}_structure", structure_residual(f[name], ISOMETRY[flavor]), tol
+    if "p" in f:
+        yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
+        yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
+    elif "sigma" in f:
+        sigma = f["sigma"]
+        if flavor == FLAVOR_T:
+            yield "sigma_diagonal", _offdiag_residual(sigma), lim
         else:
-            dec = star_spectral(m, tol, cluster_tol)
-            struct = "unitary"
-            doc["summary"] = _block_summary(dec.blocks)
-        sigma = dec.sigma_matrix()
-        recon = dec.v @ sigma @ adjoint(dec.v, dec.flavor)
-        doc["factors"] = {
-            "v": fileformat.matrix_to_obj(dec.v),
-            "sigma": fileformat.matrix_to_obj(sigma),
-        }
-        doc["residuals"] = {
-            "reconstruction": (recon - m).norm(),
-            "v_structure": structure_residual(dec.v, struct),
-        }
+            if "u" not in f:
+                yield "sigma_hermitian", structure_residual(sigma, "hermitian"), lim
+            yield "sigma_block_form", _star_sigma_form_residual(sigma), lim
+        # U Sigma V^adj, or V Sigma V^adj for a spectral result.
+        recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
+        yield "reconstruction", (recon - m).norm(), lim
+    elif "pinv" in f:
+        for name, val in penrose_residuals(m, f["pinv"]).items():
+            yield f"penrose_{name}", val, lim
+
+
+def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:
+    require_square(m, "decompose")
+    if kind not in KINDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    flavor = KIND_FACTORS[kind][0]
+    doc: dict = {"kind": kind, "rows": m.shape[0], "cols": m.shape[1], "outcome": "ok"}
+    if kind.endswith("-svd"):
+        r = svd(m, flavor, tol, cluster_tol)
+        factors = {"u": r.u, "sigma": r.sigma, "v": r.v}
+        doc["summary"] = _summary(r)
+    elif kind.endswith("-spectral"):
+        r = (t_spectral if flavor == FLAVOR_T else star_spectral)(m, tol, cluster_tol)
+        factors = {"v": r.v, "sigma": r.sigma_matrix()}
+        doc["summary"] = _summary(r)
     elif kind == "t-polar":
-        pr = t_polar(m)
-        doc["factors"] = {
-            "u": fileformat.matrix_to_obj(pr.u),
-            "p": fileformat.matrix_to_obj(pr.p),
-        }
-        doc["residuals"] = {
-            "reconstruction": (pr.u @ pr.p - m).norm(),
-            "u_structure": structure_residual(pr.u, "t_orthogonal"),
-            "p_symmetry": structure_residual(pr.p, "symmetric"),
-        }
-    elif kind == "pinv":
+        r = t_polar(m)
+        factors = {"u": r.u, "p": r.p}
+    else:
         x = pinv_t(m, tol)
+        factors = {} if x is None else {"pinv": x}
         if x is None:
             doc["outcome"] = "nonexistent"
-            doc["factors"] = {}
-            doc["residuals"] = {}
-        else:
-            doc["factors"] = {"pinv": fileformat.matrix_to_obj(x)}
-            doc["residuals"] = {
-                f"penrose_{name}": val for name, val in penrose_residuals(m, x).items()
-            }
-    else:
-        raise ParseError(f"unknown kind {kind!r}")
+    doc["factors"] = {name: fileformat.matrix_to_obj(a) for name, a in factors.items()}
+    doc["residuals"] = {name: res for name, res, _ in _invariants(m, kind, factors, tol)}
     return doc
 
 
@@ -169,82 +191,18 @@ def _get_factor(doc, name) -> DualMatrix:
         raise ParseError(f"result document is missing factor {name!r}") from exc
 
 
-def _star_sigma_form_residual(sigma: DualMatrix) -> float:
-    """Departure of sigma from the legal star block pattern: real diagonal
-    standard part, infinitesimal part skew with support on the diagonal and
-    the adjacent off-diagonals."""
-    n = sigma.shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                worst = max(worst, abs(sigma.std[i, j]))
-            if abs(i - j) >= 2:
-                worst = max(worst, abs(sigma.inf[i, j]))
-            if i != j:
-                worst = max(worst, abs(sigma.inf[i, j] + sigma.inf[j, i]))
-    return worst
-
-
-def _offdiag_residual(sigma: DualMatrix) -> float:
-    mask = ~np.eye(sigma.shape[0], dtype=bool)
-    if not mask.any():
-        return 0.0
-    return max(
-        float(np.abs(sigma.std[mask]).max()), float(np.abs(sigma.inf[mask]).max())
-    )
-
-
 def _verify(m: DualMatrix, doc: dict, tol: float):
     """Yield (name, residual, limit) triples for every invariant of the
     result document."""
     kind = doc.get("kind")
-    scale = max(1.0, m.norm())
-    lim = tol * scale
-
-    if kind in ("t-svd", "star-svd"):
-        flavor = "T" if kind == "t-svd" else "star"
-        struct = "t_orthogonal" if flavor == "T" else "unitary"
-        u = _get_factor(doc, "u")
-        sigma = _get_factor(doc, "sigma")
-        v = _get_factor(doc, "v")
-        yield "u_structure", structure_residual(u, struct), lim
-        yield "v_structure", structure_residual(v, struct), lim
-        if flavor == "T":
-            yield "sigma_diagonal", _offdiag_residual(sigma), lim
-        else:
-            yield "sigma_block_form", _star_sigma_form_residual(sigma), lim
-        recon = u @ sigma @ adjoint(v, flavor)
-        yield "reconstruction", (recon - m).norm(), lim
-    elif kind in ("t-spectral", "star-spectral"):
-        flavor = "T" if kind == "t-spectral" else "star"
-        struct = "t_orthogonal" if flavor == "T" else "unitary"
-        v = _get_factor(doc, "v")
-        sigma = _get_factor(doc, "sigma")
-        yield "v_structure", structure_residual(v, struct), lim
-        if flavor == "T":
-            yield "sigma_diagonal", _offdiag_residual(sigma), lim
-        else:
-            yield "sigma_hermitian", structure_residual(sigma, "hermitian"), lim
-            yield "sigma_block_form", _star_sigma_form_residual(sigma), lim
-        recon = v @ sigma @ adjoint(v, flavor)
-        yield "reconstruction", (recon - m).norm(), lim
-    elif kind == "t-polar":
-        u = _get_factor(doc, "u")
-        p = _get_factor(doc, "p")
-        yield "u_structure", structure_residual(u, "t_orthogonal"), lim
-        yield "p_symmetry", structure_residual(p, "symmetric"), lim
-        yield "reconstruction", (u @ p - m).norm(), lim
-    elif kind == "pinv":
-        if doc.get("outcome") == "nonexistent":
-            again = pinv_t(m)
-            yield "nonexistence_confirmed", (0.0 if again is None else 1.0), 0.5
-        else:
-            x = _get_factor(doc, "pinv")
-            for name, val in penrose_residuals(m, x).items():
-                yield f"penrose_{name}", val, lim
-    else:
+    if kind not in KINDS:
         raise ParseError(f"result document has unknown kind {kind!r}")
+    if kind == "pinv" and doc.get("outcome") == "nonexistent":
+        again = pinv_t(m)
+        yield "nonexistence_confirmed", (0.0 if again is None else 1.0), 0.5
+        return
+    factors = {name: _get_factor(doc, name) for name in KIND_FACTORS[kind][1]}
+    yield from _invariants(m, kind, factors, tol)
 
 
 def cmd_check(args) -> int:

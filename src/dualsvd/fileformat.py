@@ -1,13 +1,17 @@
 """Text format for dual matrices and decomposition result documents.
 
-Documents are JSON.  Floats are printed with 17 significant digits, which
-round-trips binary64 exactly, and keys are emitted in sorted order so equal
-documents serialize to identical bytes.
+Documents are one line of JSON with sorted keys.  Floats are written as the
+shortest decimal that reads back as the same binary64 value, so a document
+round-trips exactly and equal documents serialize to identical bytes.
+Non-finite numbers are rejected both when writing and when reading a matrix.
 """
 
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
 
 from .linalg import DualMatrix
 from .errors import DualLinAlgError
@@ -17,59 +21,11 @@ class ParseError(DualLinAlgError):
     """Input text is not a well-formed matrix or result document."""
 
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ParseError(f"non-finite number {x!r} cannot be serialized")
-    return format(float(x), ".17g")
-
-
-def _emit(obj, out: list, indent: int):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = sorted(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(f'{pad}  "{k}": ')
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        flat = all(isinstance(x, (int, float, str)) for x in obj)
-        if flat:
-            out.append("[" + ", ".join(_scalar(x) for x in obj) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(obj))
-
-
-def _scalar(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return _fmt_float(x)
-    if isinstance(x, str):
-        return json.dumps(x)
-    raise ParseError(f"cannot serialize {type(x).__name__}")
-
-
 def dumps(doc) -> str:
-    out: list = []
-    _emit(doc, out, 0)
-    return "".join(out) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"cannot serialize document: {exc}") from exc
 
 
 def loads(text: str):
@@ -92,15 +48,13 @@ def matrix_to_obj(m: DualMatrix) -> dict:
 
 
 def obj_to_matrix(obj) -> DualMatrix:
-    import numpy as np
-
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be an object")
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix document: {exc}") from exc
     if rows < 0 or cols < 0:
         raise ParseError("negative dimensions")
@@ -116,8 +70,10 @@ def obj_to_matrix(obj) -> DualMatrix:
             raise ParseError(f"entry {k} is not a [std, inf] pair")
         try:
             a, b = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"entry {k} is not numeric: {exc}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ParseError(f"entry {k} is not finite")
         std[k // cols, k % cols] = a
         inf[k // cols, k % cols] = b
     return DualMatrix(std, inf)

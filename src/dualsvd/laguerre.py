@@ -10,7 +10,7 @@ import numpy as np
 from .dual import Dual
 from .errors import DimensionMismatch, NotInvertible, PoleAt
 from .linalg import DualMatrix
-from .spectral import star_spectral
+from .spectral import SpectralBlock, block_matrix, star_spectral
 
 # A 2x2 rotation parameter below this (relative) size collapses to Form 1.
 FORM_BOUNDARY_TOL = 1e-8
@@ -43,13 +43,9 @@ class LaguerreClassification:
 
     def reconstruct(self) -> DualMatrix:
         if self.form == 1:
-            s = DualMatrix(np.diag([float(x) for x in self.sigma]))
+            s = block_matrix([SpectralBlock(float(x), 0.0, 1) for x in self.sigma])
             return self.u @ s @ self.v.star()
-        s = DualMatrix(
-            float(self.sigma) * np.eye(2),
-            np.array([[0.0, -self.sigma_prime], [self.sigma_prime, 0.0]]),
-        )
-        return self.u @ s
+        return self.u @ block_matrix([SpectralBlock(self.sigma, self.sigma_prime, 2)])
 
 
 def apply_transform(t: LaguerreTransform, z: Dual) -> Dual:
@@ -80,18 +76,15 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     two_blocks = [b for b in dec.blocks if b.size == 2]
     if two_blocks:
         blk = two_blocks[0]
-        s = float(np.sqrt(blk.sigma))
-        sp = blk.sigma_prime / (2.0 * s)
+        root = Dual(blk.sigma, blk.sigma_prime).sqrt()
+        s, sp = root.std, root.inf
         if abs(sp) > FORM_BOUNDARY_TOL * scale:
             # sqrt(w) = v sqrt(Sigma) v*; with a doubly-degenerate standard
             # eigenvalue it is itself s*I + eps*sp*J, the Form 2 middle factor.
-            sqrt_w = DualMatrix(
-                s * np.eye(2), np.array([[0.0, -sp], [sp, 0.0]])
-            )
-            inv_sqrt_w = DualMatrix(
-                (1.0 / s) * np.eye(2),
-                np.array([[0.0, sp / (s * s)], [-sp / (s * s), 0.0]]),
-            )
+            # J commutes with it, so its inverse is that of the dual scalar.
+            sqrt_w = block_matrix([SpectralBlock(s, sp, 2)])
+            inv = root.inv()
+            inv_sqrt_w = block_matrix([SpectralBlock(inv.std, inv.inf, 2)])
             # Align the eps*J orientation with the actual sqrt(w).
             actual = dec.v @ sqrt_w @ dec.v.star()
             if abs((actual - sqrt_w).norm()) > abs((actual - sqrt_w.conj()).norm()):

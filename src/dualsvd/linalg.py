@@ -17,6 +17,11 @@ from .errors import DegenerateInput, DimensionMismatch, NotSquare
 FLAVOR_T = "T"
 FLAVOR_STAR = "star"
 
+# Structure kinds of each flavor's isometries and self-adjoint matrices.
+ISOMETRY = {FLAVOR_T: "t_orthogonal", FLAVOR_STAR: "unitary"}
+SELF_ADJOINT = {FLAVOR_T: "symmetric", FLAVOR_STAR: "hermitian"}
+_KIND_FLAVOR = {kind: f for table in (ISOMETRY, SELF_ADJOINT) for f, kind in table.items()}
+
 # Relative threshold below which a Gram-Schmidt residual counts as dependent.
 INDEPENDENCE_TOL = 1e-10
 
@@ -24,6 +29,11 @@ INDEPENDENCE_TOL = 1e-10
 def _check_flavor(flavor):
     if flavor not in (FLAVOR_T, FLAVOR_STAR):
         raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def require_square(m, what: str):
+    if m.shape[0] != m.shape[1]:
+        raise NotSquare(f"{what} needs a square matrix, got {m.shape}")
 
 
 class DualVector:
@@ -252,18 +262,14 @@ def form(u: DualVector, v: DualVector, flavor: str) -> Dual:
 
 def structure_residual(m: DualMatrix, kind: str) -> float:
     """Residual of a structural identity, as an entrywise-max norm."""
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"structure check needs a square matrix, got {m.shape}")
-    if kind == "symmetric":
-        return (m - m.T).norm()
-    if kind == "hermitian":
-        return (m - m.star()).norm()
+    require_square(m, "structure check")
+    if kind not in _KIND_FLAVOR:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    adj = adjoint(m, _KIND_FLAVOR[kind])
+    if kind in SELF_ADJOINT.values():
+        return (m - adj).norm()
     ident = DualMatrix.identity(m.shape[0])
-    if kind == "t_orthogonal":
-        return max((m.T @ m - ident).norm(), (m @ m.T - ident).norm())
-    if kind == "unitary":
-        return max((m.star() @ m - ident).norm(), (m @ m.star() - ident).norm())
-    raise ValueError(f"unknown structure kind {kind!r}")
+    return max((adj @ m - ident).norm(), (m @ adj - ident).norm())
 
 
 def structure_check(m: DualMatrix, kind: str, tol: float) -> bool:

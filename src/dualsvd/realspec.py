@@ -152,10 +152,7 @@ def skew_block_diag(a, tol: float = 1e-9) -> SkewBlockForm:
             mus.append(float(w @ (a @ v)))
             rest = basis[:, 1:]
             rest = rest - np.outer(v, v @ rest) - np.outer(w, w @ rest)
-            if rest.shape[1] > 2:
-                u_r, s_r, _ = np.linalg.svd(rest, full_matrices=False)
-                rest = u_r[:, s_r > 0.5]
-            elif rest.shape[1] == 2:
+            if rest.shape[1] >= 2:
                 u_r, s_r, _ = np.linalg.svd(rest, full_matrices=False)
                 rest = u_r[:, s_r > 0.5]
             basis = rest

@@ -13,12 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual
-from .errors import NotHermitian, NotSquare, NotSymmetric
+from .errors import NotHermitian, NotSymmetric
 from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
+    ISOMETRY,
+    SELF_ADJOINT,
     DualMatrix,
+    adjoint,
     gram_schmidt,
+    require_square,
     structure_residual,
 )
 from .realspec import skew_block_diag, sym_eig
@@ -28,15 +32,34 @@ DEFAULT_CLUSTER_TOL = 1e-8
 
 @dataclass
 class SpectralBlock:
-    """One diagonal block of a *-spectral Sigma.
+    """One diagonal block of a star-flavor middle factor (spectral or SVD).
 
-    size 1: the scalar block (sigma).  size 2: the rotation-like block
+    size 1: the scalar block sigma + eps*sigma_prime; sigma_prime is 0 in a
+    spectral Sigma and sigma is 0 for an infinitesimal singular value.
+    size 2: the rotation-like block
     [[sigma, -eps*sigma_prime], [eps*sigma_prime, sigma]] with sigma_prime > 0.
     """
 
     sigma: float
     sigma_prime: float
     size: int
+
+
+def block_matrix(blocks) -> DualMatrix:
+    """Assemble the block-diagonal matrix of a list of blocks."""
+    n = sum(b.size for b in blocks)
+    out = DualMatrix.zeros(n, n)
+    p = 0
+    for b in blocks:
+        if b.size == 1:
+            out.std[p, p] = b.sigma
+            out.inf[p, p] = b.sigma_prime
+        else:
+            out.std[p, p] = out.std[p + 1, p + 1] = b.sigma
+            out.inf[p, p + 1] = -b.sigma_prime
+            out.inf[p + 1, p] = b.sigma_prime
+        p += b.size
+    return out
 
 
 @dataclass
@@ -52,38 +75,26 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.v.shape[0]
 
+    def all_blocks(self) -> list:
+        """The middle factor's blocks; a T diagonal entry z is the size-1
+        block z.std + eps*z.inf."""
+        if self.flavor == FLAVOR_T:
+            return [SpectralBlock(z.std, z.inf, 1) for z in self.diag]
+        return self.blocks
+
     def sigma_matrix(self) -> DualMatrix:
         """Assemble the canonical middle factor."""
-        if self.flavor == FLAVOR_T:
-            return DualMatrix.diagonal(self.diag)
-        n = self.n
-        out = DualMatrix.zeros(n, n)
-        p = 0
-        for b in self.blocks:
-            if b.size == 1:
-                out.std[p, p] = b.sigma
-            else:
-                out.std[p, p] = out.std[p + 1, p + 1] = b.sigma
-                out.inf[p, p + 1] = -b.sigma_prime
-                out.inf[p + 1, p] = b.sigma_prime
-            p += b.size
-        return out
+        return block_matrix(self.all_blocks())
 
 
 def eigenvalue_multiset(d: SpectralDecomposition):
     """The invariant eigenvalue multiset, as a sorted list of (sigma, signed
     sigma_prime) pairs.  A star 2x2 block contributes the conjugate pair."""
     pairs = []
-    if d.flavor == FLAVOR_T:
-        for z in d.diag:
-            pairs.append((z.std, z.inf))
-    else:
-        for b in d.blocks:
-            if b.size == 1:
-                pairs.append((b.sigma, 0.0))
-            else:
-                pairs.append((b.sigma, b.sigma_prime))
-                pairs.append((b.sigma, -b.sigma_prime))
+    for b in d.all_blocks():
+        pairs.append((b.sigma, b.sigma_prime))
+        if b.size == 2:
+            pairs.append((b.sigma, -b.sigma_prime))
     return sorted(pairs)
 
 
@@ -102,31 +113,18 @@ def _clusters(d: np.ndarray, cluster_tol: float):
     return groups
 
 
-def _embed(real: np.ndarray) -> DualMatrix:
-    return DualMatrix(real)
-
-
 def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"spectral decomposition needs a square matrix: {m.shape}")
+    require_square(m, "spectral decomposition")
     n = m.shape[0]
     scale = max(1.0, m.norm())
-    if flavor == FLAVOR_STAR:
-        if structure_residual(m, "hermitian") > tol * scale:
-            raise NotHermitian("matrix is not Hermitian within tolerance")
-    else:
-        if structure_residual(m, "symmetric") > tol * scale:
-            raise NotSymmetric("matrix is not symmetric within tolerance")
-    if n == 0:
-        empty = DualMatrix(np.zeros((0, 0)))
-        if flavor == FLAVOR_STAR:
-            return SpectralDecomposition(empty, flavor, blocks=[])
-        return SpectralDecomposition(empty, flavor, diag=[])
+    if structure_residual(m, SELF_ADJOINT[flavor]) > tol * scale:
+        error = NotHermitian if flavor == FLAVOR_STAR else NotSymmetric
+        raise error(f"matrix is not {SELF_ADJOINT[flavor]} within tolerance")
 
     a0 = 0.5 * (m.std + m.std.T)
     spec = sym_eig(a0)
     s = spec.q.T  # s a0 s^T is diagonal, eigenvalues descending
-    sd = _embed(s)
+    sd = DualMatrix(s)
     mp = sd @ m @ sd.T
     d = np.diag(mp.std).copy()
     groups = _clusters(d, cluster_tol)
@@ -134,18 +132,12 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     # First-order corrector: C_ab = inf(M')_ab / (d_a - d_b) across clusters.
     # C is symmetric for the star flavor (inf part skew) and skew for T
     # (inf part symmetric), which makes P = I + eps*C exactly an isometry.
+    group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    cross = group_of[:, None] != group_of[None, :]
     c = np.zeros((n, n))
-    group_of = np.empty(n, dtype=int)
-    for gi, g in enumerate(groups):
-        for a in g:
-            group_of[a] = gi
-    for a in range(n):
-        for b in range(n):
-            if group_of[a] != group_of[b]:
-                c[a, b] = mp.inf[a, b] / (d[a] - d[b])
+    c[cross] = mp.inf[cross] / np.subtract.outer(d, d)[cross]
     p = DualMatrix(np.eye(n), c)
-    padj = p.star() if flavor == FLAVOR_STAR else p.T
-    mpp = p @ mp @ padj
+    mpp = p @ mp @ adjoint(p, flavor)
 
     # Resolve each cluster's infinitesimal block with a real backend.
     qs = []
@@ -181,25 +173,17 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
             for k in range(len(g)):
                 diag.append(Dual(lam_rot[k, k], es.eigenvalues[k]))
 
-    g_full = np.zeros((n, n))
-    pos = 0
-    for q_i in qs:
-        k = q_i.shape[0]
-        g_full[pos : pos + k, pos : pos + k] = q_i
-        pos += k
-    gd = _embed(g_full)
+    gd = DualMatrix.block_diag(DualMatrix(q_i) for q_i in qs)
 
     # w = G P S is an isometry; M = w^adj Sigma w, so v = w^adj.
-    w = gd @ p @ sd
-    v = w.star() if flavor == FLAVOR_STAR else w.T
+    v = adjoint(gd @ p @ sd, flavor)
 
     if flavor == FLAVOR_STAR:
         dec = SpectralDecomposition(v, flavor, blocks=blocks)
     else:
         dec = SpectralDecomposition(v, flavor, diag=diag)
 
-    kind = "unitary" if flavor == FLAVOR_STAR else "t_orthogonal"
-    if structure_residual(v, kind) > 1e-11 * max(1.0, v.norm()):
+    if structure_residual(v, ISOMETRY[flavor]) > 1e-11 * max(1.0, v.norm()):
         cols = gram_schmidt(v.columns(), flavor)
         dec.v = DualMatrix.from_columns(cols, rows=n)
     return dec

@@ -14,38 +14,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual
-from .errors import NotInvertible, NotSquare, VerificationError
+from .errors import NotInvertible, VerificationError
 from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
+    ISOMETRY,
     DualMatrix,
-    DualVector,
     adjoint,
     extend_orthonormal,
     gram_schmidt,
+    require_square,
+    structure_residual,
 )
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralBlock,
+    block_matrix,
     star_spectral,
     t_spectral,
 )
 
 DEFAULT_SPLIT_TOL = 1e-8
 
-
-@dataclass
-class SigmaBlock:
-    """One diagonal block of an SVD middle factor (star flavor).
-
-    size 1 with sigma_prime == 0: the real scalar block (sigma).
-    size 1 with sigma == 0 and sigma_prime != 0: the infinitesimal block
-    (eps*sigma_prime).  size 2: [[sigma, -eps*sp], [eps*sp, sigma]].
-    """
-
-    sigma: float
-    sigma_prime: float
-    size: int
+# The SVD middle factor has the same blocks as a star-spectral Sigma.
+SigmaBlock = SpectralBlock
 
 
 @dataclass
@@ -77,11 +69,6 @@ class PolarResult:
     p: DualMatrix
 
 
-def _require_square(m: DualMatrix):
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"need a square matrix, got {m.shape}")
-
-
 def _empty_result(flavor: str) -> SvdResult:
     e = DualMatrix(np.zeros((0, 0)))
     return SvdResult(
@@ -99,13 +86,28 @@ def _polish_isometry(u: DualMatrix, flavor: str) -> DualMatrix:
     conditioning of the input) has degraded it.  Columns are processed in
     their existing descending-sigma order, so the dominant directions move
     the least."""
-    from .linalg import structure_residual
-
-    kind = "t_orthogonal" if flavor == FLAVOR_T else "unitary"
-    if structure_residual(u, kind) <= 1e-12 * max(1.0, u.norm()):
+    if structure_residual(u, ISOMETRY[flavor]) <= 1e-12 * max(1.0, u.norm()):
         return u
     cols = gram_schmidt(u.columns(), flavor)
     return DualMatrix.from_columns(cols, rows=u.shape[0])
+
+
+def _gram_spectral(m: DualMatrix, flavor: str, cluster_tol: float):
+    """Spectral decomposition of W = M^adj M."""
+    w = adjoint(m, flavor) @ m
+    spectral = t_spectral if flavor == FLAVOR_T else star_spectral
+    return spectral(w, cluster_tol=cluster_tol)
+
+
+def _map_blocks(blocks, f) -> list:
+    """Apply a dual function to each block.  A rotation block is
+    sigma + eps*sigma_prime*J with J commuting with it, so its square root
+    and inverse have the closed forms of the dual scalar."""
+    out = []
+    for b in blocks:
+        z = f(Dual(b.sigma, b.sigma_prime))
+        out.append(SpectralBlock(z.std, z.inf, b.size))
+    return out
 
 
 def svd_invertible(
@@ -117,7 +119,7 @@ def svd_invertible(
     spectrally, sqrt(W) = V sqrt(Sigma) V^adj, and U = M (sqrt W)^-1 absorbs
     the remaining isometry.
     """
-    _require_square(m)
+    require_square(m, "svd")
     n = m.shape[0]
     if n == 0:
         return _empty_result(flavor)
@@ -125,46 +127,18 @@ def svd_invertible(
     if sv.min() <= 1e-10 * sv.max():
         raise NotInvertible("standard part is numerically singular")
 
-    w = adjoint(m, flavor) @ m
-    if flavor == FLAVOR_T:
-        dec = t_spectral(w, cluster_tol=cluster_tol)
-        roots = []
-        for lam in dec.diag:
-            if lam.std <= 0:
-                raise NotInvertible("spectral value of M^T M not positive")
-            roots.append(lam.sqrt())
-        sigma = DualMatrix.diagonal(roots)
-        inv_sigma = DualMatrix.diagonal([r.inv() for r in roots])
-        u = _polish_isometry(m @ dec.v @ inv_sigma, flavor)
-        res = _residual(u, sigma, dec.v, m, flavor)
-        return SvdResult(u, sigma, dec.v, flavor, res, diag=roots)
-
-    sigma = DualMatrix.zeros(n, n)
-    inv_sigma = DualMatrix.zeros(n, n)
-    blocks = []
-    p = 0
-    dec = star_spectral(w, cluster_tol=cluster_tol)
-    for b in dec.blocks:
-        if b.sigma <= 0:
-            raise NotInvertible("spectral value of M* M not positive")
-        s = float(np.sqrt(b.sigma))
-        if b.size == 1:
-            sigma.std[p, p] = s
-            inv_sigma.std[p, p] = 1.0 / s
-            blocks.append(SigmaBlock(s, 0.0, 1))
-        else:
-            t = b.sigma_prime / (2.0 * s)
-            sigma.std[p, p] = sigma.std[p + 1, p + 1] = s
-            sigma.inf[p, p + 1] = -t
-            sigma.inf[p + 1, p] = t
-            inv_sigma.std[p, p] = inv_sigma.std[p + 1, p + 1] = 1.0 / s
-            inv_sigma.inf[p, p + 1] = t / (s * s)
-            inv_sigma.inf[p + 1, p] = -t / (s * s)
-            blocks.append(SigmaBlock(s, t, 2))
-        p += b.size
-    u = _polish_isometry(m @ dec.v @ inv_sigma, flavor)
+    dec = _gram_spectral(m, flavor, cluster_tol)
+    blocks = dec.all_blocks()
+    if any(b.sigma <= 0 for b in blocks):
+        raise NotInvertible("spectral value of M^adj M not positive")
+    roots = _map_blocks(blocks, Dual.sqrt)
+    sigma = block_matrix(roots)
+    u = _polish_isometry(m @ dec.v @ block_matrix(_map_blocks(roots, Dual.inv)), flavor)
     res = _residual(u, sigma, dec.v, m, flavor)
-    return SvdResult(u, sigma, dec.v, flavor, res, blocks=blocks)
+    if flavor == FLAVOR_T:
+        diag = [Dual(b.sigma, b.sigma_prime) for b in roots]
+        return SvdResult(u, sigma, dec.v, flavor, res, diag=diag)
+    return SvdResult(u, sigma, dec.v, flavor, res, blocks=roots)
 
 
 def split_subspaces(
@@ -174,15 +148,11 @@ def split_subspaces(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> SubspaceSplit:
     """Split the spectral basis of M^adj M by image appreciability."""
-    _require_square(m)
+    require_square(m, "split_subspaces")
     n = m.shape[0]
     if n == 0:
         return SubspaceSplit([], [])
-    w = adjoint(m, flavor) @ m
-    if flavor == FLAVOR_T:
-        dec = t_spectral(w, cluster_tol=cluster_tol)
-    else:
-        dec = star_spectral(w, cluster_tol=cluster_tol)
+    dec = _gram_spectral(m, flavor, cluster_tol)
     thr = tol * max(1.0, float(np.abs(m.std).max()) if m.std.size else 0.0)
     vl, vr = [], []
     for b in dec.v.columns():
@@ -201,7 +171,7 @@ def svd(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> SvdResult:
     """T-SVD or *-SVD of an arbitrary square dual matrix."""
-    _require_square(m)
+    require_square(m, "svd")
     n = m.shape[0]
     if n == 0:
         return _empty_result(flavor)
@@ -239,18 +209,12 @@ def svd(
         vrt = np.zeros((0, 0))
 
     inf_scale = max(1.0, m.norm())
-    eps_entries = []
-    sig_tail = DualMatrix.zeros(n - k, n - k)
-    for i, s_val in enumerate(s_inf):
-        if s_val <= 1e-12 * inf_scale:
-            eps_entries.append(0.0)
-        else:
-            eps_entries.append(float(s_val))
-            sig_tail.inf[i, i] = float(s_val)
+    eps_entries = [0.0 if s <= 1e-12 * inf_scale else float(s) for s in s_inf]
+    tail = [SpectralBlock(0.0, e, 1) for e in eps_entries]
 
     u_coord = DualMatrix.block_diag([inner.u, DualMatrix(ur)])
     v_coord = DualMatrix.block_diag([inner.v, DualMatrix(vrt.T)])
-    sigma = DualMatrix.block_diag([inner.sigma, sig_tail])
+    sigma = DualMatrix.block_diag([inner.sigma, block_matrix(tail)])
 
     u = cmat @ u_coord
     v = bmat @ v_coord
@@ -259,15 +223,11 @@ def svd(
     if flavor == FLAVOR_T:
         diag = list(inner.diag) + [Dual(0.0, e) for e in eps_entries]
         return SvdResult(u, sigma, v, flavor, res, diag=diag)
-    blocks = list(inner.blocks) + [
-        SigmaBlock(0.0, e, 1) for e in eps_entries
-    ]
-    return SvdResult(u, sigma, v, flavor, res, blocks=blocks)
+    return SvdResult(u, sigma, v, flavor, res, blocks=list(inner.blocks) + tail)
 
 
 def t_polar(m: DualMatrix) -> PolarResult:
     """M = U P with U^T U = I and P symmetric, via the T-SVD."""
-    _require_square(m)
     r = svd(m, FLAVOR_T)
     u = r.u @ r.v.T
     p = r.v @ r.sigma @ r.v.T
@@ -292,7 +252,6 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     Appreciable singular values are inverted; exact zeros are zeroed; a
     pure-infinitesimal nonzero singular value certifies nonexistence.
     """
-    _require_square(m)
     r = svd(m, FLAVOR_T, tol)
     scale = max(1.0, m.norm())
     inv_entries = []

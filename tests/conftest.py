@@ -9,10 +9,10 @@ import pytest
 from dualsvd import Dual, DualMatrix, DualVector, FLAVOR_T
 
 
-def random_dual_matrix(rng, n, regime="generic", scale=1.0):
+def random_dual_matrix(rng, n, regime="generic"):
     """Draw a square dual matrix from one of the four sampling regimes."""
-    std = rng.standard_normal((n, n)) * scale
-    inf = rng.standard_normal((n, n)) * scale
+    std = rng.standard_normal((n, n))
+    inf = rng.standard_normal((n, n))
     if regime == "generic":
         return DualMatrix(std, inf)
     if regime == "rankdef":

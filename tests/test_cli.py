@@ -1,5 +1,7 @@
 """File format round trips and command-line behavior, including exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,12 @@ class TestFileFormat:
             obj_to_matrix([1, 2, 3])
         with pytest.raises(ParseError):
             dumps({"x": float("nan")})
+        with pytest.raises(ParseError):
+            parse_matrix('{"rows": 1, "cols": 1, "entries": [[1e400, 0]]}')
+        with pytest.raises(ParseError):
+            parse_matrix('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400))
+        with pytest.raises(ParseError):
+            parse_matrix('{"rows": Infinity, "cols": 1, "entries": []}')
 
     def test_matrix_obj_shape(self):
         obj = matrix_to_obj(DualMatrix([[1, 2], [3, 4]], [[5, 6], [7, 8]]))
@@ -65,7 +73,7 @@ class TestDecompose:
         "kind",
         ["t-svd", "star-svd", "t-spectral", "star-spectral", "t-polar", "pinv"],
     )
-    def test_round_trip_check_passes(self, tmp_path, rng, kind):
+    def test_round_trip_check_passes(self, tmp_path, rng, capsys, kind):
         if kind == "t-spectral":
             std = rng.standard_normal((3, 3))
             inf = rng.standard_normal((3, 3))
@@ -79,7 +87,15 @@ class TestDecompose:
         inp = write_matrix(tmp_path / "m.json", m)
         out = str(tmp_path / "r.json")
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
+        capsys.readouterr()
         assert main(["check", "--input", inp, "--result", out]) == 0
+        # The document's residuals are exactly the invariants check tests.
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, rest = line.split(": ")
+            printed[name] = rest.split()[0]
+        residuals = loads((tmp_path / "r.json").read_text())["residuals"]
+        assert {k: f"residual={v:.3e}" for k, v in residuals.items()} == printed
 
     def test_pinv_nonexistent_is_success(self, tmp_path, capsys):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))
@@ -98,6 +114,21 @@ class TestDecompose:
             ) == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_non_finite_input_exit_2(self, tmp_path, rng):
+        bad = tmp_path / "nan.json"
+        bad.write_text(
+            '{"rows": 2, "cols": 2, "entries": [[NaN, 0], [1, 0], [0, 0], [1, Infinity]]}'
+        )
+        assert main(["decompose", "--kind", "t-svd", "--input", str(bad)]) == 2
+        inp = write_matrix(tmp_path / "m.json", random_dual_matrix(rng, 2, "generic"))
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", str(out)]) == 0
+        assert main(["check", "--input", str(bad), "--result", str(out)]) == 2
+        doc = loads(out.read_text())
+        doc["factors"]["u"]["entries"][0][0] = float("nan")
+        out.write_text(json.dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 2
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -162,6 +193,19 @@ class TestCheck:
         main(["decompose", "--kind", "star-svd", "--input", inp, "--output", out])
         doc = loads((tmp_path / "r.json").read_text())
         doc["factors"]["sigma"]["entries"][1][1] += 0.5
+        (tmp_path / "r.json").write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", out]) == 4
+
+    def test_isometry_limit_is_scale_free(self, tmp_path):
+        # At |M| = 1e8 a limit of tol*|M| would pass an isometry defect of 2e-4.
+        inp = write_matrix(tmp_path / "m.json", DualMatrix(np.diag([1e8, 0.0])))
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", out]) == 0
+        doc = loads((tmp_path / "r.json").read_text())
+        assert doc["summary"]["diag"][1] == [0.0, 0.0]
+        # Column 1 of U meets the zero singular value, so reconstruction holds.
+        for k in (1, 3):
+            doc["factors"]["u"]["entries"][k][0] *= 1.0 + 1e-4
         (tmp_path / "r.json").write_text(dumps(doc))
         assert main(["check", "--input", inp, "--result", out]) == 4
 
