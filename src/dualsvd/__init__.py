@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatch,
     DualLinAlgError,
     NoSquareRoot,
+    NonFiniteInput,
     NotHermitian,
     NotInvertible,
     NotSkewSymmetric,
@@ -77,5 +78,5 @@ __all__ = [
     "classify_transform",
     "DualLinAlgError", "DimensionMismatch", "NotSquare", "NotSymmetric",
     "NotSkewSymmetric", "NotHermitian", "NotInvertible", "NoSquareRoot",
-    "DegenerateInput", "PoleAt", "VerificationError",
+    "DegenerateInput", "NonFiniteInput", "PoleAt", "VerificationError",
 ]

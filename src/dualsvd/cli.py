@@ -17,6 +17,7 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     DualLinAlgError,
+    NonFiniteInput,
     NotHermitian,
     NotInvertible,
     NotSquare,
@@ -53,6 +54,7 @@ _PRECONDITION_ERRORS = (
     NotInvertible,
     DimensionMismatch,
     DegenerateInput,
+    NonFiniteInput,
 )
 
 

@@ -43,3 +43,7 @@ class PoleAt(DualLinAlgError):
 
 class VerificationError(DualLinAlgError):
     """An internal self-check (e.g. Penrose identities) failed unexpectedly."""
+
+
+class NonFiniteInput(DualLinAlgError):
+    """An input matrix has a NaN or infinite entry."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dual import Dual
 from .errors import DimensionMismatch, NotInvertible, PoleAt
-from .linalg import DualMatrix
+from .linalg import DualMatrix, unit_scale
 from .spectral import SpectralBlock, block_matrix, star_spectral
 
 # A 2x2 rotation parameter below this (relative) size collapses to Form 1.
@@ -64,9 +64,11 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     The split is read off the *-spectral shape of m* m: two scalar blocks give
     Form 1, a genuine 2x2 rotation block gives Form 2 (with the right unitary
     factor absorbed through sqrt(m* m), which is already in rotation form).
+    The work is done on m scaled by a power of two to unit norm.
     """
-    m = t.m
-    det = t.det()
+    c = unit_scale(t.m)
+    m = t.m if c == 1.0 else DualMatrix(t.m.std / c, t.m.inf / c)
+    det = LaguerreTransform(m).det()
     scale = max(1.0, m.norm())
     if abs(det.std) <= 1e-12 * scale * scale:
         raise NotInvertible("determinant is not appreciable")
@@ -92,9 +94,9 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
                 sqrt_w = sqrt_w.conj()
                 inv_sqrt_w = inv_sqrt_w.conj()
             u = m @ inv_sqrt_w
-            return LaguerreClassification(2, u, s, sigma_prime=sp)
+            return LaguerreClassification(2, u, c * s, sigma_prime=c * sp)
         # Boundary: treat the rotation parameter as zero.
-        sigmas = (s, s)
+        sigmas = (c * s, c * s)
         inv_s = DualMatrix(np.diag([1.0 / s, 1.0 / s]))
         u = m @ dec.v @ inv_s
         return LaguerreClassification(1, u, sigmas, v=dec.v)
@@ -104,4 +106,4 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     sig = [float(np.sqrt(b.sigma)) for b in dec.blocks]
     inv_s = DualMatrix(np.diag([1.0 / x for x in sig]))
     u = m @ dec.v @ inv_s
-    return LaguerreClassification(1, u, tuple(sig), v=dec.v)
+    return LaguerreClassification(1, u, tuple(c * x for x in sig), v=dec.v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dual import Dual
-from .errors import DegenerateInput, DimensionMismatch, NotSquare
+from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput, NotSquare
 
 FLAVOR_T = "T"
 FLAVOR_STAR = "star"
@@ -223,6 +223,18 @@ class DualMatrix:
 
     def __repr__(self):
         return f"DualMatrix(std=\n{self.std},\ninf=\n{self.inf})"
+
+
+def unit_scale(m: DualMatrix) -> float:
+    """The power of two c with ||M / c|| in [1, 2), or 1 for the zero matrix.
+
+    Dividing by c is exact, so an entry point that decomposes M / c and
+    scales its results back by c is scale-equivariant for powers of two.
+    """
+    if not (np.isfinite(m.std).all() and np.isfinite(m.inf).all()):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    nrm = m.norm()
+    return float(np.ldexp(1.0, np.frexp(nrm)[1] - 1)) if nrm else 1.0
 
 
 def adjoint(m: DualMatrix, flavor: str) -> DualMatrix:

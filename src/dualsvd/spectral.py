@@ -4,6 +4,7 @@ The constructive pipeline: diagonalize the standard part, kill cross-cluster
 infinitesimal couplings with a first-order corrector P = I + eps*C (which is
 exactly unitary / T-orthogonal because eps**2 = 0), then resolve each cluster's
 residual infinitesimal block with the appropriate real spectral backend.
+Inputs are first scaled by a power of two to unit norm.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .linalg import (
     gram_schmidt,
     require_square,
     structure_residual,
+    unit_scale,
 )
 from .realspec import skew_block_diag, sym_eig
 
@@ -113,8 +115,30 @@ def _clusters(d: np.ndarray, cluster_tol: float):
     return groups
 
 
+def resolve_cluster(b: np.ndarray, flavor: str, scale: float):
+    """Resolve one cluster's infinitesimal block b with a real rotation.
+
+    This decides the canonical middle factor.  Returns (q, values, zeros):
+    q^T sym(b) q = diag(values), descending, for T; for star,
+    q^T skew(b) q is 2x2 rotation blocks with parameters ``values`` followed
+    by ``zeros`` zero entries.
+    """
+    if flavor == FLAVOR_T:
+        es = sym_eig(0.5 * (b + b.T))
+        return es.q, es.eigenvalues, 0
+    b = 0.5 * (b - b.T)
+    # Rotation parameters below 1e-9 of the matrix scale collapse to
+    # scalar blocks; keeping them would emit near-boundary 2x2 blocks.
+    mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b).max()))
+    sb = skew_block_diag(b, tol=mu_floor)
+    return sb.q, sb.mus, sb.zero_count
+
+
 def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     require_square(m, "spectral decomposition")
+    unit = unit_scale(m)
+    if unit != 1.0:
+        m = DualMatrix(m.std / unit, m.inf / unit)
     n = m.shape[0]
     scale = max(1.0, m.norm())
     if structure_residual(m, SELF_ADJOINT[flavor]) > tol * scale:
@@ -145,33 +169,17 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     diag = []
     for g in groups:
         idx = np.array(g)
-        b_ii = mpp.inf[np.ix_(idx, idx)]
-        lam_vals = d[idx]
+        q, vals, _ = resolve_cluster(mpp.inf[np.ix_(idx, idx)], flavor, scale)
+        q_i = q.T
+        qs.append(q_i)
+        lam = np.diag(q_i @ np.diag(d[idx]) @ q_i.T)
         if flavor == FLAVOR_STAR:
-            b_ii = 0.5 * (b_ii - b_ii.T)
-            # Rotation parameters below 1e-9 of the matrix scale collapse to
-            # scalar blocks; keeping them would emit near-boundary 2x2 blocks.
-            mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b_ii).max() or 0.0))
-            sb = skew_block_diag(b_ii, tol=mu_floor)
-            q_i = sb.q.T if sb.q.size else np.zeros((len(g), len(g)))
-            qs.append(q_i)
-            lam_rot = q_i @ np.diag(lam_vals) @ q_i.T
-            pos = 0
-            for mu in sb.mus:
-                sigma = 0.5 * (lam_rot[pos, pos] + lam_rot[pos + 1, pos + 1])
-                blocks.append(SpectralBlock(sigma, mu, 2))
-                pos += 2
-            for _ in range(sb.zero_count):
-                blocks.append(SpectralBlock(lam_rot[pos, pos], 0.0, 1))
-                pos += 1
+            for i, mu in enumerate(vals):
+                sigma = unit * 0.5 * (lam[2 * i] + lam[2 * i + 1])
+                blocks.append(SpectralBlock(sigma, unit * mu, 2))
+            blocks += [SpectralBlock(unit * x, 0.0, 1) for x in lam[2 * len(vals) :]]
         else:
-            b_ii = 0.5 * (b_ii + b_ii.T)
-            es = sym_eig(b_ii)
-            q_i = es.q.T
-            qs.append(q_i)
-            lam_rot = q_i @ np.diag(lam_vals) @ q_i.T
-            for k in range(len(g)):
-                diag.append(Dual(lam_rot[k, k], es.eigenvalues[k]))
+            diag += [Dual(unit * x, unit * y) for x, y in zip(lam, vals)]
 
     gd = DualMatrix.block_diag(DualMatrix(q_i) for q_i in qs)
 

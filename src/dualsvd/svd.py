@@ -1,10 +1,14 @@
 """T-SVD and *-SVD of arbitrary square dual matrices, polar decomposition and
 the Moore-Penrose pseudoinverse.
 
-General inputs are reduced to the invertible case by splitting the spectral
-basis of M^adj M into the directions mapped to appreciable vectors (V^L) and
-the ones mapped to infinitesimal vectors (V^R).  The restriction to V^R is an
-infinitesimal map eps*T', which only sees the standard part of T'.
+For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
+Singular values at or below the split threshold become zero; the others are
+clustered on S^2.  In B~ = U0^T B V0, each appreciable cluster's block is
+resolved by a real rotation (which decides the canonical middle factor) and
+the zero cluster's block by a real SVD.  The rest of B~ is absorbed by a
+first-order corrector: U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
+with Omega skew (T) or symmetric (star), are exact isometries because
+eps**2 = 0.  Inputs are first scaled by a power of two to unit norm.
 """
 
 from __future__ import annotations
@@ -15,23 +19,13 @@ import numpy as np
 
 from .dual import Dual
 from .errors import NotInvertible, VerificationError
-from .linalg import (
-    FLAVOR_STAR,
-    FLAVOR_T,
-    ISOMETRY,
-    DualMatrix,
-    adjoint,
-    extend_orthonormal,
-    gram_schmidt,
-    require_square,
-    structure_residual,
-)
+from .linalg import FLAVOR_STAR, FLAVOR_T, DualMatrix, adjoint, require_square, unit_scale
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralBlock,
+    _clusters,
     block_matrix,
-    star_spectral,
-    t_spectral,
+    resolve_cluster,
 )
 
 DEFAULT_SPLIT_TOL = 1e-8
@@ -56,8 +50,9 @@ class SvdResult:
 
 @dataclass
 class SubspaceSplit:
-    """Orthonormal spectral basis split by whether the operator sends the
-    vector to an appreciable (vl) or infinitesimal (vr) image."""
+    """Orthonormal basis of right singular vectors, split by whether the
+    operator sends the vector to an appreciable (vl) or infinitesimal (vr)
+    image."""
 
     vl_basis: list
     vr_basis: list
@@ -69,76 +64,92 @@ class PolarResult:
     p: DualMatrix
 
 
-def _empty_result(flavor: str) -> SvdResult:
-    e = DualMatrix(np.zeros((0, 0)))
-    return SvdResult(
-        e, e, e, flavor, 0.0, diag=[] if flavor == FLAVOR_T else None,
-        blocks=[] if flavor == FLAVOR_STAR else None,
-    )
+def _rotate(u0, v0, bt, idx, g, h):
+    """Turn the columns ``idx`` of U0 by g and of V0 by h, and B~ with them."""
+    u0[:, idx] = u0[:, idx] @ g
+    v0[:, idx] = v0[:, idx] @ h
+    bt[idx, :] = g.T @ bt[idx, :]
+    bt[:, idx] = bt[:, idx] @ h
 
 
-def _residual(res_u, res_s, res_v, m, flavor) -> float:
-    return (res_u @ res_s @ adjoint(res_v, flavor) - m).norm()
+def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
+    """The SVD of ``m`` and its number k of appreciable singular values."""
+    require_square(m, "svd")
+    m0, c = m, unit_scale(m)
+    if c != 1.0:
+        m = DualMatrix(m.std / c, m.inf / c)
+    n = m.shape[0]
+    star = flavor == FLAVOR_STAR
+    u0, s, v0t = np.linalg.svd(m.std)
+    v0 = v0t.T
+    scale = max(1.0, m.norm())
+    k = int(np.count_nonzero(s > tol * max(1.0, np.abs(m.std).max(initial=0.0))))
+    s[k:] = 0.0
+    bt = u0.T @ m.inf @ v0
+    groups = _clusters(s[:k] ** 2, cluster_tol)
 
+    # Resolve each appreciable cluster's block with a real rotation; a star
+    # cluster keeps its rotation parameters for the middle factor.  The
+    # cluster's values become their mean, so that S = s I on the cluster.
+    rotations = {}
+    for g in groups:
+        if len(g) > 1:
+            idx = slice(g[0], g[-1] + 1)
+            s[idx] = s[idx].mean()
+            q, vals, zeros = resolve_cluster(bt[idx, idx], flavor, scale)
+            rotations[g[0]] = (vals, zeros)
+            _rotate(u0, v0, bt, idx, q, q)
+    # The zero cluster's block is an infinitesimal map; a real SVD resolves it.
+    tail = slice(k, n)
+    p, delta, qt = np.linalg.svd(bt[tail, tail])
+    _rotate(u0, v0, bt, tail, p, qt.T)
+    delta[delta <= 1e-12 * scale] = 0.0
 
-def _polish_isometry(u: DualMatrix, flavor: str) -> DualMatrix:
-    """Re-orthonormalize a computed isometry when rounding (amplified by the
-    conditioning of the input) has degraded it.  Columns are processed in
-    their existing descending-sigma order, so the dominant directions move
-    the least."""
-    if structure_residual(u, ISOMETRY[flavor]) <= 1e-12 * max(1.0, u.norm()):
-        return u
-    cols = gram_schmidt(u.columns(), flavor)
-    return DualMatrix.from_columns(cols, rows=u.shape[0])
+    # B~ = Omega_U S + D - S Omega_V.  Across clusters D = 0 and the pair
+    # (i, j), (j, i) is a 2x2 system with determinant s_j^2 - s_i^2.  Inside
+    # an appreciable cluster S = s I, and Omega_U takes the part of B~ that
+    # D cannot hold; inside the zero cluster S = 0 and D takes all of it.
+    f = 1.0 if star else -1.0
+    gid = np.repeat(np.arange(len(groups) + 1), [len(g) for g in groups] + [n - k])
+    same = gid[:, None] == gid[None, :]
+    den = np.subtract.outer(s**2, s**2).T
+    om_u = np.zeros((n, n))
+    om_v = np.zeros((n, n))
+    np.divide(bt * s - f * s[:, None] * bt.T, den, out=om_u, where=~same)
+    np.divide(s[:, None] * bt - f * bt.T * s, den, out=om_v, where=~same)
+    np.divide(0.5 * (bt + f * bt.T), s[:, None], out=om_u, where=same & (s[:, None] > 0))
 
-
-def _gram_spectral(m: DualMatrix, flavor: str, cluster_tol: float):
-    """Spectral decomposition of W = M^adj M."""
-    w = adjoint(m, flavor) @ m
-    spectral = t_spectral if flavor == FLAVOR_T else star_spectral
-    return spectral(w, cluster_tol=cluster_tol)
-
-
-def _map_blocks(blocks, f) -> list:
-    """Apply a dual function to each block.  A rotation block is
-    sigma + eps*sigma_prime*J with J commuting with it, so its square root
-    and inverse have the closed forms of the dual scalar."""
-    out = []
-    for b in blocks:
-        z = f(Dual(b.sigma, b.sigma_prime))
-        out.append(SpectralBlock(z.std, z.inf, b.size))
-    return out
+    u = DualMatrix(u0, u0 @ om_u)
+    v = DualMatrix(v0, v0 @ om_v)
+    s *= c
+    if star:
+        blocks = []
+        for g in groups:
+            mus, zeros = rotations.get(g[0], ([], len(g)))
+            blocks += [SpectralBlock(s[g[0]], c * mu, 2) for mu in mus]
+            blocks += [SpectralBlock(s[g[0]], 0.0, 1) for _ in range(zeros)]
+        blocks += [SpectralBlock(0.0, c * e, 1) for e in delta]
+        sigma = block_matrix(blocks)
+        r = SvdResult(u, sigma, v, flavor, 0.0, blocks=blocks)
+    else:
+        d = c * np.concatenate([np.diag(bt)[:k], delta])
+        sigma = DualMatrix(np.diag(s), np.diag(d))
+        r = SvdResult(u, sigma, v, flavor, 0.0, diag=[Dual(a, b) for a, b in zip(s, d)])
+    r.residual = (r.reconstruct() - m0).norm()
+    return r, k
 
 
 def svd_invertible(
     m: DualMatrix, flavor: str, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> SvdResult:
-    """SVD of a dual matrix whose standard part is invertible.
-
-    Follows the square-root construction: W = M^adj M is decomposed
-    spectrally, sqrt(W) = V sqrt(Sigma) V^adj, and U = M (sqrt W)^-1 absorbs
-    the remaining isometry.
-    """
+    """SVD of a dual matrix whose standard part is invertible: the general
+    SVD with no singular value split off."""
     require_square(m, "svd")
-    n = m.shape[0]
-    if n == 0:
-        return _empty_result(flavor)
+    unit_scale(m)  # rejects non-finite input before LAPACK sees it
     sv = np.linalg.svd(m.std, compute_uv=False)
-    if sv.min() <= 1e-10 * sv.max():
+    if sv.size and sv.min() <= 1e-10 * sv.max():
         raise NotInvertible("standard part is numerically singular")
-
-    dec = _gram_spectral(m, flavor, cluster_tol)
-    blocks = dec.all_blocks()
-    if any(b.sigma <= 0 for b in blocks):
-        raise NotInvertible("spectral value of M^adj M not positive")
-    roots = _map_blocks(blocks, Dual.sqrt)
-    sigma = block_matrix(roots)
-    u = _polish_isometry(m @ dec.v @ block_matrix(_map_blocks(roots, Dual.inv)), flavor)
-    res = _residual(u, sigma, dec.v, m, flavor)
-    if flavor == FLAVOR_T:
-        diag = [Dual(b.sigma, b.sigma_prime) for b in roots]
-        return SvdResult(u, sigma, dec.v, flavor, res, diag=diag)
-    return SvdResult(u, sigma, dec.v, flavor, res, blocks=roots)
+    return _svd(m, flavor, 0.0, cluster_tol)[0]
 
 
 def split_subspaces(
@@ -147,21 +158,12 @@ def split_subspaces(
     tol: float = DEFAULT_SPLIT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> SubspaceSplit:
-    """Split the spectral basis of M^adj M by image appreciability."""
-    require_square(m, "split_subspaces")
-    n = m.shape[0]
-    if n == 0:
-        return SubspaceSplit([], [])
-    dec = _gram_spectral(m, flavor, cluster_tol)
-    thr = tol * max(1.0, float(np.abs(m.std).max()) if m.std.size else 0.0)
-    vl, vr = [], []
-    for b in dec.v.columns():
-        img = m.apply(b)
-        if float(np.linalg.norm(img.std)) > thr:
-            vl.append(b)
-        else:
-            vr.append(b)
-    return SubspaceSplit(vl, vr)
+    """Split the right singular vectors by image appreciability: the first
+    k columns of the SVD's V, for the k appreciable singular values, and the
+    rest."""
+    r, k = _svd(m, flavor, tol, cluster_tol)
+    cols = r.v.columns()
+    return SubspaceSplit(cols[:k], cols[k:])
 
 
 def svd(
@@ -171,59 +173,7 @@ def svd(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> SvdResult:
     """T-SVD or *-SVD of an arbitrary square dual matrix."""
-    require_square(m, "svd")
-    n = m.shape[0]
-    if n == 0:
-        return _empty_result(flavor)
-
-    split = split_subspaces(m, flavor, tol, cluster_tol)
-    vl, vr = split.vl_basis, split.vr_basis
-    k = len(vl)
-    bvecs = vl + vr
-    bmat = DualMatrix.from_columns(bvecs, rows=n)
-
-    # Orthonormal basis of the image of V^L, extended to the whole space.
-    cs = gram_schmidt([m.apply(b) for b in vl], flavor) if k else []
-    cfull = extend_orthonormal(cs, n, flavor)
-    cmat = DualMatrix.from_columns(cfull, rows=n)
-
-    # U0 maps the image basis back onto V^L; N = U0 M fixes V^L and sends
-    # V^R into infinitesimal vectors.
-    u0 = bmat @ adjoint(cmat, flavor)
-    x = adjoint(bmat, flavor) @ (u0 @ m) @ bmat
-
-    li = list(range(k))
-    ri = list(range(k, n))
-    if k:
-        inner = svd_invertible(x.submatrix(li, li), flavor, cluster_tol)
-    else:
-        inner = _empty_result(flavor)
-
-    # The V^R restriction is eps*T'; only the standard part of T' matters.
-    tprime = x.inf[np.ix_(ri, ri)]
-    if tprime.size:
-        ur, s_inf, vrt = np.linalg.svd(tprime)
-    else:
-        ur = np.zeros((0, 0))
-        s_inf = np.zeros(0)
-        vrt = np.zeros((0, 0))
-
-    inf_scale = max(1.0, m.norm())
-    eps_entries = [0.0 if s <= 1e-12 * inf_scale else float(s) for s in s_inf]
-    tail = [SpectralBlock(0.0, e, 1) for e in eps_entries]
-
-    u_coord = DualMatrix.block_diag([inner.u, DualMatrix(ur)])
-    v_coord = DualMatrix.block_diag([inner.v, DualMatrix(vrt.T)])
-    sigma = DualMatrix.block_diag([inner.sigma, block_matrix(tail)])
-
-    u = cmat @ u_coord
-    v = bmat @ v_coord
-    res = _residual(u, sigma, v, m, flavor)
-
-    if flavor == FLAVOR_T:
-        diag = list(inner.diag) + [Dual(0.0, e) for e in eps_entries]
-        return SvdResult(u, sigma, v, flavor, res, diag=diag)
-    return SvdResult(u, sigma, v, flavor, res, blocks=list(inner.blocks) + tail)
+    return _svd(m, flavor, tol, cluster_tol)[0]
 
 
 def t_polar(m: DualMatrix) -> PolarResult:
@@ -250,8 +200,12 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     """Moore-Penrose pseudoinverse via the T-SVD, or None when none exists.
 
     Appreciable singular values are inverted; exact zeros are zeroed; a
-    pure-infinitesimal nonzero singular value certifies nonexistence.
+    pure-infinitesimal nonzero singular value certifies nonexistence.  The
+    work, the Penrose self-check included, is done on M scaled to unit norm.
     """
+    c = unit_scale(m)
+    if c != 1.0:
+        m = DualMatrix(m.std / c, m.inf / c)
     r = svd(m, FLAVOR_T, tol)
     scale = max(1.0, m.norm())
     inv_entries = []
@@ -269,4 +223,4 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
         raise VerificationError(
             f"Penrose identities failed at {worst:.3e} (scale {scale:.3e})"
         )
-    return x
+    return x if c == 1.0 else DualMatrix(x.std / c, x.inf / c)

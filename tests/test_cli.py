@@ -1,6 +1,7 @@
 """File format round trips and command-line behavior, including exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ class TestDecompose:
         bad.write_text("nope")
         assert main(["decompose", "--kind", "t-svd", "--input", str(bad)]) == 2
         assert main(["decompose", "--kind", "t-svd", "--input", str(tmp_path / "absent.json")]) == 2
+
+    def test_pinv_rank_deficient_n32(self, tmp_path, capsys):
+        # n=32, rank 31, smallest appreciable singular value 4.9e-3: the SVD
+        # used to rebuild U by Gram-Schmidt here and exit 3 (DegenerateInput).
+        inp = str(Path(__file__).parent / "data" / "pinv_n32_rank31.json")
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
 
     def test_precondition_exit_3(self, tmp_path):
         nonsq = tmp_path / "r.json"

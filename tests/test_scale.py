@@ -1,0 +1,151 @@
+"""Scale equivariance of the entry points, and typed rejection of
+non-finite input.
+
+Each entry point decomposes M scaled by a power of two to unit norm and
+scales the results back, so for c = 2^k the isometries and forms of cM are
+bit-identical to those of M and the singular and spectral values are
+exactly c times M's.  For other c the invariants hold relative to ||cM||.
+"""
+
+import numpy as np
+import pytest
+
+from dualsvd import (
+    FLAVOR_STAR,
+    FLAVOR_T,
+    DualMatrix,
+    LaguerreTransform,
+    NonFiniteInput,
+    classify_transform,
+    penrose_residuals,
+    pinv_t,
+    split_subspaces,
+    star_spectral,
+    structure_residual,
+    svd,
+    svd_invertible,
+    t_spectral,
+)
+from conftest import random_dual_matrix, random_hermitian, random_symmetric
+
+REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
+
+
+def draws(rng, kind):
+    """Four inputs of a kind: one per regime for the general kinds."""
+    if kind == "t_spectral":
+        return [random_symmetric(rng, 4) for _ in REGIMES]
+    if kind == "star_spectral":
+        return [random_hermitian(rng, 4) for _ in REGIMES]
+    if kind == "classify":
+        return [random_dual_matrix(rng, 2, "generic") for _ in REGIMES]
+    return [random_dual_matrix(rng, 4, regime) for regime in REGIMES]
+
+
+def run(kind, m):
+    if kind == "svd-T":
+        return svd(m, FLAVOR_T)
+    if kind == "svd-star":
+        return svd(m, FLAVOR_STAR)
+    if kind == "pinv_t":
+        return pinv_t(m)
+    if kind == "t_spectral":
+        return t_spectral(m)
+    if kind == "star_spectral":
+        return star_spectral(m)
+    return classify_transform(LaguerreTransform(m))
+
+
+def fixed_and_scaled(kind, r):
+    """(arrays that do not change with the scale of M, arrays that scale
+    like M, exponent of that scaling)."""
+    if kind.startswith("svd"):
+        values = [(b.sigma, b.sigma_prime) for b in r.blocks] if r.blocks is not None else [
+            (d.std, d.inf) for d in r.diag
+        ]
+        return [r.u.std, r.u.inf, r.v.std, r.v.inf], [r.sigma.std, r.sigma.inf, values], 1
+    if kind == "pinv_t":
+        return [], ([] if r is None else [r.std, r.inf]), -1
+    if kind.endswith("spectral"):
+        sigma = r.sigma_matrix()
+        return [r.v.std, r.v.inf], [sigma.std, sigma.inf], 1
+    fixed = [r.u.std, r.u.inf, np.array([r.form])]
+    if r.form == 1:
+        return fixed + [r.v.std, r.v.inf], [r.sigma], 1
+    return fixed, [r.sigma, r.sigma_prime], 1
+
+
+KINDS = ("svd-T", "svd-star", "pinv_t", "t_spectral", "star_spectral", "classify")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_of_two_scaling_is_exact(rng, kind):
+    for m in draws(rng, kind):
+        fixed, scaled, p = fixed_and_scaled(kind, run(kind, m))
+        for k in range(-30, 31):
+            c = 2.0**k
+            r = run(kind, DualMatrix(m.std * c, m.inf * c))
+            fixed_c, scaled_c, _ = fixed_and_scaled(kind, r)
+            assert len(fixed_c) == len(fixed) and len(scaled_c) == len(scaled)
+            for a, b in zip(fixed_c, fixed):
+                assert np.array_equal(a, b)
+            for a, b in zip(scaled_c, scaled):
+                assert np.array_equal(np.asarray(a), np.asarray(b) * c**p)
+
+
+def invariant_defects(kind, m, r):
+    """Each invariant's residual divided by its natural scale."""
+    mn = m.norm()
+    if kind.startswith("svd") or kind == "classify":
+        flavor = FLAVOR_T if kind == "svd-T" else FLAVOR_STAR
+        iso = "t_orthogonal" if flavor == FLAVOR_T else "unitary"
+        recon = (r.reconstruct() - m).norm() / mn
+        if kind == "classify":
+            return [structure_residual(r.u, iso), recon]
+        return [structure_residual(r.u, iso), structure_residual(r.v, iso), recon]
+    if kind == "pinv_t":
+        if r is None:
+            return []
+        res = penrose_residuals(m, r)
+        return [res["mxm"] / mn, res["xmx"] / r.norm(), res["mx_symmetric"], res["xm_symmetric"]]
+    iso = "t_orthogonal" if kind == "t_spectral" else "unitary"
+    recon = r.v @ r.sigma_matrix() @ (r.v.T if kind == "t_spectral" else r.v.star())
+    return [structure_residual(r.v, iso), (recon - m).norm() / mn]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_decimal_scaling_keeps_invariants(rng, kind):
+    for m in draws(rng, kind):
+        unit = run(kind, m)
+        for k in range(-12, 13):
+            c = 10.0**k
+            mc = DualMatrix(m.std * c, m.inf * c)
+            r = run(kind, mc)
+            assert max(invariant_defects(kind, mc, r), default=0.0) <= 1e-8
+            if kind == "pinv_t":
+                assert (r is None) == (unit is None)
+            if kind == "classify":
+                assert r.form == unit.form
+
+
+ENTRY_POINTS = {
+    "svd-T": lambda m: svd(m, FLAVOR_T),
+    "svd-star": lambda m: svd(m, FLAVOR_STAR),
+    "svd_invertible": lambda m: svd_invertible(m, FLAVOR_T),
+    "split_subspaces": lambda m: split_subspaces(m, FLAVOR_STAR),
+    "pinv_t": pinv_t,
+    "t_spectral": t_spectral,
+    "star_spectral": star_spectral,
+    "classify": lambda m: classify_transform(LaguerreTransform(m)),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["std", "inf"])
+def test_non_finite_input_is_typed(name, bad, part):
+    std = np.eye(2)
+    inf = np.zeros((2, 2))
+    (std if part == "std" else inf)[0, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        ENTRY_POINTS[name](DualMatrix(std, inf))

@@ -11,15 +11,19 @@ from dualsvd import (
     DualMatrix,
     DualVector,
     NotInvertible,
+    SigmaBlock,
     adjoint,
+    eigenvalue_multiset,
     form,
     penrose_residuals,
     pinv_t,
     split_subspaces,
+    star_spectral,
     structure_residual,
     svd,
     svd_invertible,
     t_polar,
+    t_spectral,
 )
 from conftest import random_dual_matrix
 
@@ -163,6 +167,79 @@ class TestGeneralSvd:
     def test_empty_matrix(self):
         r = svd(DualMatrix(np.zeros((0, 0))), FLAVOR_T)
         assert r.diag == []
+
+
+def squared_multiset(r):
+    """Eigenvalue multiset of Sigma^adj Sigma: a block sigma + eps*sigma'
+    squares to sigma^2 + eps*2*sigma*sigma'."""
+    if r.flavor == FLAVOR_T:
+        blocks = [SigmaBlock(d.std, d.inf, 1) for d in r.diag]
+    else:
+        blocks = r.blocks
+    pairs = []
+    for b in blocks:
+        sq = Dual(b.sigma, b.sigma_prime) * Dual(b.sigma, b.sigma_prime)
+        pairs += [(sq.std, sq.inf), (sq.std, -sq.inf)][: b.size]
+    return sorted(pairs)
+
+
+class TestAgainstSpectralRoute:
+    """The SVD from one real SVD against the spectral decomposition of
+    W = M^adj M, the construction it replaced."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_squared_middle_factor_matches_gram_spectrum(self, rng, flavor, n):
+        spectral = t_spectral if flavor == FLAVOR_T else star_spectral
+        for _ in range(4):
+            m = random_dual_matrix(rng, n, "generic")
+            w = adjoint(m, flavor) @ m
+            got = squared_multiset(svd(m, flavor))
+            want = eigenvalue_multiset(spectral(w))
+            assert len(got) == len(want) == n
+            for (s1, p1), (s2, p2) in zip(got, want):
+                assert abs(s1 - s2) <= 1e-9 * w.norm()
+                assert abs(p1 - p2) <= 1e-9 * w.norm()
+
+
+def planted(rng, s, n):
+    """Q1 diag(s) Q2^T + eps*B with random orthogonal Q1, Q2."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return DualMatrix(q1 @ np.diag(s) @ q2.T, rng.standard_normal((n, n)))
+
+
+def planted_spectrum(n, case, gap):
+    """Singular values from 4 down to 1, well apart, with one group of
+    near-repeated values spaced by ``gap``; returns them and the group size."""
+    s = np.linspace(4.0, 1.0, n)
+    if case == "rank_half_pair":
+        s[n // 2 :] = 0.0
+    size = 4 if case == "quadruple" else 2
+    s[:size] = s[0] - gap * np.arange(size)
+    return s, size
+
+
+class TestClusterStress:
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("case", ["pair", "quadruple", "rank_half_pair"])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+    def test_near_repeated_singular_values(self, rng, flavor, n, case, gap):
+        s, size = planted_spectrum(n, case, gap)
+        m = planted(rng, s, n)
+        r = svd(m, flavor)
+        struct = "t_orthogonal" if flavor == FLAVOR_T else "unitary"
+        # Omega grows like 1/gap between unclustered near-equal values, so
+        # these are the verifier's limits, not tighter ones.
+        assert structure_residual(r.u, struct) <= 1e-8
+        assert structure_residual(r.v, struct) <= 1e-8
+        assert (r.reconstruct() - m).norm() <= 1e-8 * m.norm()
+        if flavor == FLAVOR_STAR:
+            # A gap of 1e-6 is above cluster_tol on s^2, so only the
+            # smaller gaps form a cluster, with floor(size/2) rotations.
+            want = size // 2 if gap <= 1e-9 else 0
+            assert sum(b.size == 2 for b in r.blocks) == want
 
 
 class TestPolar:
