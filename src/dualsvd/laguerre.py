@@ -9,8 +9,9 @@ import numpy as np
 
 from .dual import Dual
 from .errors import DimensionMismatch, NotInvertible, PoleAt
-from .linalg import DualMatrix, unit_scale
-from .spectral import SpectralBlock, block_matrix, star_spectral
+from .linalg import FLAVOR_STAR, DualMatrix, unit_scale
+from .spectral import SpectralBlock, block_matrix
+from .svd import svd
 
 # A 2x2 rotation parameter below this (relative) size collapses to Form 1.
 FORM_BOUNDARY_TOL = 1e-8
@@ -61,10 +62,11 @@ def apply_transform(t: LaguerreTransform, z: Dual) -> Dual:
 def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     """Classify an invertible 2x2 dual matrix into Yaglom's two normal forms.
 
-    The split is read off the *-spectral shape of m* m: two scalar blocks give
-    Form 1, a genuine 2x2 rotation block gives Form 2 (with the right unitary
-    factor absorbed through sqrt(m* m), which is already in rotation form).
-    The work is done on m scaled by a power of two to unit norm.
+    The split is read off the *-SVD m = U Sigma V*: two scalar blocks give
+    Form 1 with u = U and v = V; one genuine 2x2 rotation block gives Form 2
+    with u = U V*, since V Sigma V* = sigma I + eps*det(V0)*sigma'*J for the
+    standard part V0 of V.  The work is done on m scaled by a power of two to
+    unit norm.
     """
     c = unit_scale(t.m)
     m = t.m if c == 1.0 else DualMatrix(t.m.std / c, t.m.inf / c)
@@ -73,37 +75,15 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     if abs(det.std) <= 1e-12 * scale * scale:
         raise NotInvertible("determinant is not appreciable")
 
-    w = m.star() @ m
-    dec = star_spectral(w)
-    two_blocks = [b for b in dec.blocks if b.size == 2]
-    if two_blocks:
-        blk = two_blocks[0]
-        root = Dual(blk.sigma, blk.sigma_prime).sqrt()
-        s, sp = root.std, root.inf
-        if abs(sp) > FORM_BOUNDARY_TOL * scale:
-            # sqrt(w) = v sqrt(Sigma) v*; with a doubly-degenerate standard
-            # eigenvalue it is itself s*I + eps*sp*J, the Form 2 middle factor.
-            # J commutes with it, so its inverse is that of the dual scalar.
-            sqrt_w = block_matrix([SpectralBlock(s, sp, 2)])
-            inv = root.inv()
-            inv_sqrt_w = block_matrix([SpectralBlock(inv.std, inv.inf, 2)])
-            # Align the eps*J orientation with the actual sqrt(w).
-            actual = dec.v @ sqrt_w @ dec.v.star()
-            if abs((actual - sqrt_w).norm()) > abs((actual - sqrt_w.conj()).norm()):
-                sp = -sp
-                sqrt_w = sqrt_w.conj()
-                inv_sqrt_w = inv_sqrt_w.conj()
-            u = m @ inv_sqrt_w
-            return LaguerreClassification(2, u, c * s, sigma_prime=c * sp)
-        # Boundary: treat the rotation parameter as zero.
-        sigmas = (c * s, c * s)
-        inv_s = DualMatrix(np.diag([1.0 / s, 1.0 / s]))
-        u = m @ dec.v @ inv_s
-        return LaguerreClassification(1, u, sigmas, v=dec.v)
-
-    if any(b.sigma <= 0 for b in dec.blocks):
-        raise NotInvertible("m* m has a non-positive spectral value")
-    sig = [float(np.sqrt(b.sigma)) for b in dec.blocks]
-    inv_s = DualMatrix(np.diag([1.0 / x for x in sig]))
-    u = m @ dec.v @ inv_s
-    return LaguerreClassification(1, u, tuple(c * x for x in sig), v=dec.v)
+    # Split tolerance 0: every singular value of an invertible m counts.
+    r = svd(m, FLAVOR_STAR, 0.0)
+    blk = r.blocks[0]
+    if blk.size == 1:
+        sigmas = tuple(c * b.sigma for b in r.blocks)
+        return LaguerreClassification(1, r.u, sigmas, v=r.v)
+    if abs(blk.sigma_prime) > FORM_BOUNDARY_TOL * scale:
+        sp = blk.sigma_prime * float(np.sign(np.linalg.det(r.v.std)))
+        return LaguerreClassification(2, r.u @ r.v.star(), c * blk.sigma, sigma_prime=c * sp)
+    # Boundary: treat the rotation parameter as zero.
+    u = m @ r.v @ DualMatrix(np.eye(2) / blk.sigma)
+    return LaguerreClassification(1, u, (c * blk.sigma, c * blk.sigma), v=r.v)

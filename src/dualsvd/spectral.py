@@ -1,10 +1,12 @@
 """Spectral decompositions of Hermitian / symmetric dual matrices.
 
-The constructive pipeline: diagonalize the standard part, kill cross-cluster
-infinitesimal couplings with a first-order corrector P = I + eps*C (which is
-exactly unitary / T-orthogonal because eps**2 = 0), then resolve each cluster's
-residual infinitesimal block with the appropriate real spectral backend.
-Inputs are first scaled by a power of two to unit norm.
+For M = A + eps*B, one real eigendecomposition A = Q0 D Q0^T fixes the
+standard parts and B~ = Q0^T B Q0.  Each cluster of two or more near-equal
+eigenvalues takes their mean and has its block of B~ resolved by a real
+rotation (which decides the canonical middle factor).  The rest of B~ is absorbed by V = Q0 (I + eps*Omega) with
+Omega_ab = B~_ab / (d_b - d_a) across clusters; Omega is skew (T) or
+symmetric (star), so V is an exact isometry because eps**2 = 0.  Inputs are
+first scaled by a power of two to unit norm.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .linalg import (
     ISOMETRY,
     SELF_ADJOINT,
     DualMatrix,
-    adjoint,
     gram_schmidt,
     require_square,
     structure_residual,
@@ -115,23 +116,32 @@ def _clusters(d: np.ndarray, cluster_tol: float):
     return groups
 
 
-def resolve_cluster(b: np.ndarray, flavor: str, scale: float):
-    """Resolve one cluster's infinitesimal block b with a real rotation.
+def resolve_cluster(bt: np.ndarray, idx: slice, flavor: str, scale: float, *isos):
+    """Resolve one cluster's infinitesimal block bt[idx, idx] with a real
+    rotation q, and turn bt and the columns ``idx`` of each isometry in
+    ``isos`` by it, in place.
 
-    This decides the canonical middle factor.  Returns (q, values, zeros):
+    This decides the canonical middle factor.  Returns (values, zeros):
     q^T sym(b) q = diag(values), descending, for T; for star,
     q^T skew(b) q is 2x2 rotation blocks with parameters ``values`` followed
     by ``zeros`` zero entries.
     """
+    b = bt[idx, idx]
     if flavor == FLAVOR_T:
         es = sym_eig(0.5 * (b + b.T))
-        return es.q, es.eigenvalues, 0
-    b = 0.5 * (b - b.T)
-    # Rotation parameters below 1e-9 of the matrix scale collapse to
-    # scalar blocks; keeping them would emit near-boundary 2x2 blocks.
-    mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b).max()))
-    sb = skew_block_diag(b, tol=mu_floor)
-    return sb.q, sb.mus, sb.zero_count
+        q, values, zeros = es.q, es.eigenvalues, 0
+    else:
+        b = 0.5 * (b - b.T)
+        # Rotation parameters below 1e-9 of the matrix scale collapse to
+        # scalar blocks; keeping them would emit near-boundary 2x2 blocks.
+        mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b).max()))
+        sb = skew_block_diag(b, tol=mu_floor)
+        q, values, zeros = sb.q, sb.mus, sb.zero_count
+    for iso in isos:
+        iso[:, idx] = iso[:, idx] @ q
+    bt[idx, :] = q.T @ bt[idx, :]
+    bt[:, idx] = bt[:, idx] @ q
+    return values, zeros
 
 
 def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
@@ -145,46 +155,41 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
         error = NotHermitian if flavor == FLAVOR_STAR else NotSymmetric
         raise error(f"matrix is not {SELF_ADJOINT[flavor]} within tolerance")
 
-    a0 = 0.5 * (m.std + m.std.T)
-    spec = sym_eig(a0)
-    s = spec.q.T  # s a0 s^T is diagonal, eigenvalues descending
-    sd = DualMatrix(s)
-    mp = sd @ m @ sd.T
-    d = np.diag(mp.std).copy()
+    spec = sym_eig(0.5 * (m.std + m.std.T))
+    q0, d = spec.q, spec.eigenvalues
+    # B~ is symmetric (T) or skew (star), so that Omega below is exactly
+    # skew or symmetric.
+    bt = q0.T @ m.inf @ q0
+    bt = 0.5 * (bt + bt.T if flavor == FLAVOR_T else bt - bt.T)
     groups = _clusters(d, cluster_tol)
 
-    # First-order corrector: C_ab = inf(M')_ab / (d_a - d_b) across clusters.
-    # C is symmetric for the star flavor (inf part skew) and skew for T
-    # (inf part symmetric), which makes P = I + eps*C exactly an isometry.
-    group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    cross = group_of[:, None] != group_of[None, :]
-    c = np.zeros((n, n))
-    c[cross] = mp.inf[cross] / np.subtract.outer(d, d)[cross]
-    p = DualMatrix(np.eye(n), c)
-    mpp = p @ mp @ adjoint(p, flavor)
-
-    # Resolve each cluster's infinitesimal block with a real backend.
-    qs = []
+    # Resolve each cluster's block with a real rotation; a size-1 cluster's
+    # value is its diagonal entry of B~ (0 for star).  The cluster's values
+    # become their mean, so that D = d I on it, before Omega divides by them.
     blocks = []
     diag = []
     for g in groups:
-        idx = np.array(g)
-        q, vals, _ = resolve_cluster(mpp.inf[np.ix_(idx, idx)], flavor, scale)
-        q_i = q.T
-        qs.append(q_i)
-        lam = np.diag(q_i @ np.diag(d[idx]) @ q_i.T)
-        if flavor == FLAVOR_STAR:
-            for i, mu in enumerate(vals):
-                sigma = unit * 0.5 * (lam[2 * i] + lam[2 * i + 1])
-                blocks.append(SpectralBlock(sigma, unit * mu, 2))
-            blocks += [SpectralBlock(unit * x, 0.0, 1) for x in lam[2 * len(vals) :]]
+        idx = slice(g[0], g[-1] + 1)
+        if len(g) > 1:
+            d[idx] = d[idx].mean()
+            vals, zeros = resolve_cluster(bt, idx, flavor, scale, q0)
+        elif flavor == FLAVOR_T:
+            vals, zeros = [bt[g[0], g[0]]], 0
         else:
-            diag += [Dual(unit * x, unit * y) for x, y in zip(lam, vals)]
+            vals, zeros = [], 1
+        lam = unit * d[g[0]]
+        if flavor == FLAVOR_STAR:
+            blocks += [SpectralBlock(lam, unit * mu, 2) for mu in vals]
+            blocks += [SpectralBlock(lam, 0.0, 1) for _ in range(zeros)]
+        else:
+            diag += [Dual(lam, unit * y) for y in vals]
 
-    gd = DualMatrix.block_diag(DualMatrix(q_i) for q_i in qs)
-
-    # w = G P S is an isometry; M = w^adj Sigma w, so v = w^adj.
-    v = adjoint(gd @ p @ sd, flavor)
+    # M = V Sigma V^adj with V = Q0 (I + eps*Omega): across clusters
+    # B~_ab = Omega_ab (d_b - d_a).
+    gid = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    omega = np.zeros((n, n))
+    np.divide(bt, np.subtract.outer(d, d).T, out=omega, where=gid[:, None] != gid[None, :])
+    v = DualMatrix(q0, q0 @ omega)
 
     if flavor == FLAVOR_STAR:
         dec = SpectralDecomposition(v, flavor, blocks=blocks)

@@ -64,14 +64,6 @@ class PolarResult:
     p: DualMatrix
 
 
-def _rotate(u0, v0, bt, idx, g, h):
-    """Turn the columns ``idx`` of U0 by g and of V0 by h, and B~ with them."""
-    u0[:, idx] = u0[:, idx] @ g
-    v0[:, idx] = v0[:, idx] @ h
-    bt[idx, :] = g.T @ bt[idx, :]
-    bt[:, idx] = bt[:, idx] @ h
-
-
 def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     """The SVD of ``m`` and its number k of appreciable singular values."""
     require_square(m, "svd")
@@ -96,13 +88,14 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
         if len(g) > 1:
             idx = slice(g[0], g[-1] + 1)
             s[idx] = s[idx].mean()
-            q, vals, zeros = resolve_cluster(bt[idx, idx], flavor, scale)
-            rotations[g[0]] = (vals, zeros)
-            _rotate(u0, v0, bt, idx, q, q)
+            rotations[g[0]] = resolve_cluster(bt, idx, flavor, scale, u0, v0)
     # The zero cluster's block is an infinitesimal map; a real SVD resolves it.
     tail = slice(k, n)
     p, delta, qt = np.linalg.svd(bt[tail, tail])
-    _rotate(u0, v0, bt, tail, p, qt.T)
+    u0[:, tail] = u0[:, tail] @ p
+    v0[:, tail] = v0[:, tail] @ qt.T
+    bt[tail, :] = p.T @ bt[tail, :]
+    bt[:, tail] = bt[:, tail] @ qt.T
     delta[delta <= 1e-12 * scale] = 0.0
 
     # B~ = Omega_U S + D - S Omega_V.  Across clusters D = 0 and the pair

@@ -115,3 +115,19 @@ class TestClassify:
             assert c.sigma == pytest.approx(s, abs=1e-9)
             assert abs(c.sigma_prime) == pytest.approx(abs(sp), abs=1e-9)
             assert (c.reconstruct() - m).norm() < 1e-9 * max(1.0, m.norm())
+
+    def test_form1_u_is_unitary_for_small_singular_value(self, rng):
+        # A singular value ratio of 1e-2..1e-3 must not cost the Form 1
+        # factors their unitarity.
+        for _ in range(50):
+            x = rng.uniform(2.0, 3.0)
+            p, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            m = DualMatrix(
+                p @ np.diag([1.0, 10.0**-x]) @ q.T, rng.standard_normal((2, 2))
+            )
+            c = classify_transform(LaguerreTransform(m))
+            assert c.form == 1
+            assert structure_residual(c.u, "unitary") < 1e-11
+            assert structure_residual(c.v, "unitary") < 1e-11
+            assert (c.reconstruct() - m).norm() < 1e-9 * m.norm()

@@ -1,4 +1,4 @@
-"""Real spectral backends: Jacobi symmetric eigensolver and skew-symmetric
+"""Real spectral backends: symmetric eigensolver and skew-symmetric
 block-diagonalization."""
 
 import numpy as np
@@ -45,6 +45,10 @@ class TestSymEig:
         assert np.allclose(spec.eigenvalues, 0.0)
         assert np.allclose(spec.q, np.eye(3))
 
+    def test_empty(self):
+        spec = sym_eig(np.zeros((0, 0)))
+        assert spec.q.shape == (0, 0) and spec.eigenvalues.shape == (0,)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -74,8 +78,8 @@ class TestSymEig:
             assert np.all(np.diff(lam) <= 1e-12)
 
     def test_graded_matrix_small_eigenvalue_accuracy(self):
-        # Relative rotation criterion: tiny eigenvalues of a graded matrix
-        # keep relative accuracy instead of being swamped by the large block.
+        # Tiny eigenvalues of a graded matrix keep their accuracy instead of
+        # being swamped by the large block.
         a = np.diag([1.0, 1e-8, 1e-14])
         a[0, 1] = a[1, 0] = 1e-11
         a[1, 2] = a[2, 1] = 1e-18
@@ -112,6 +116,10 @@ class TestSkewBlockDiag:
         assert sb.mus == pytest.approx([1.0])
         assert sb.zero_count == 1
         assert np.abs(sb.q @ sb.assemble() @ sb.q.T - a).max() < 1e-13
+
+    def test_empty(self):
+        sb = skew_block_diag(np.zeros((0, 0)))
+        assert sb.q.shape == (0, 0) and sb.mus == [] and sb.zero_count == 0
 
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetric):
@@ -151,3 +159,21 @@ class TestSkewBlockDiag:
         sb = skew_block_diag(a)
         assert sb.mus == pytest.approx([1.0, 1.0], abs=1e-10)
         assert np.abs(sb.q @ sb.assemble() @ sb.q.T - a).max() < 1e-10
+
+    @pytest.mark.parametrize("mu", [1e-4, 1e-6, 1e-7])
+    def test_small_mu_relative_accuracy(self, rng, mu):
+        # A small rotation parameter next to mu = 1 and a kernel vector keeps
+        # its relative accuracy; squaring into -A^2 would lose half its digits.
+        base = np.zeros((5, 5))
+        base[0, 1], base[1, 0] = -1.0, 1.0
+        base[2, 3], base[3, 2] = -mu, mu
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            a = q @ base @ q.T
+            a = 0.5 * (a - a.T)
+            sb = skew_block_diag(a, tol=1e-12)
+            assert len(sb.mus) == 2 and sb.zero_count == 1
+            assert abs(sb.mus[0] - 1.0) < 1e-12
+            assert abs(sb.mus[1] - mu) < 1e-7 * mu
+            assert np.abs(sb.q @ sb.q.T - np.eye(5)).max() < 1e-12
+            assert np.abs(sb.q @ sb.assemble() @ sb.q.T - a).max() < 1e-14

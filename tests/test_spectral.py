@@ -145,6 +145,30 @@ class TestTSpectral:
         assert max(abs(d.inf) for d in dec.diag) < 1e-9
 
 
+@pytest.mark.parametrize("decomp", [t_spectral, star_spectral])
+def test_empty_matrix(decomp):
+    dec = decomp(DualMatrix(np.zeros((0, 0))))
+    assert dec.v.shape == (0, 0) and dec.all_blocks() == []
+
+
+@pytest.mark.parametrize("spread", [0.9e-8, 1.1e-8])
+@pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
+def test_near_boundary_cluster_reconstructs(flavor, spread):
+    # A pair `spread` apart (one cluster below cluster_tol, two above it)
+    # next to a gap of 0.1, coupled to the far value by B.
+    b = np.zeros((3, 3))
+    b[0, 2] = b[1, 2] = 1.0
+    b = b + b.T if flavor == FLAVOR_T else b - b.T
+    m = DualMatrix(np.diag([1.0 + spread, 1.0, 0.9]), b)
+    if flavor == FLAVOR_T:
+        dec = t_spectral(m)
+        recon = dec.v @ dec.sigma_matrix() @ dec.v.T
+    else:
+        dec = star_spectral(m)
+        recon = dec.v @ dec.sigma_matrix() @ dec.v.star()
+    assert (recon - m).norm() <= 1e-8 * m.norm()
+
+
 class TestEigenvalueMultiset:
     def test_t_readoff(self):
         dec = t_spectral(DualMatrix(np.zeros((2, 2)), [[0, 1], [1, 0]]))
