@@ -71,7 +71,7 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     c = unit_scale(t.m)
     m = t.m if c == 1.0 else DualMatrix(t.m.std / c, t.m.inf / c)
     det = LaguerreTransform(m).det()
-    scale = max(1.0, m.norm())
+    scale = m.norm()
     if abs(det.std) <= 1e-12 * scale * scale:
         raise NotInvertible("determinant is not appreciable")
 

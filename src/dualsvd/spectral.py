@@ -1,9 +1,12 @@
 """Spectral decompositions of Hermitian / symmetric dual matrices.
 
 For M = A + eps*B, one real eigendecomposition A = Q0 D Q0^T fixes the
-standard parts and B~ = Q0^T B Q0.  Each cluster of two or more near-equal
-eigenvalues takes their mean and has its block of B~ resolved by a real
-rotation (which decides the canonical middle factor).  The rest of B~ is absorbed by V = Q0 (I + eps*Omega) with
+standard parts and B~ = Q0^T B Q0.  ``resolve_clusters`` is the one pass
+over clusters of near-equal values, for these decompositions and for the
+SVD: a cluster of two or more takes the mean of its values and has its block
+of B~ resolved by a real rotation, and every cluster yields its blocks of
+the canonical middle factor (size 1 for T; 2x2 rotation blocks and scalar
+blocks for star).  The rest of B~ is absorbed by V = Q0 (I + eps*Omega) with
 Omega_ab = B~_ab / (d_b - d_a) across clusters; Omega is skew (T) or
 symmetric (star), so V is an exact isometry because eps**2 = 0.  Inputs are
 first scaled by a power of two to unit norm.
@@ -35,11 +38,11 @@ DEFAULT_CLUSTER_TOL = 1e-8
 
 @dataclass
 class SpectralBlock:
-    """One diagonal block of a star-flavor middle factor (spectral or SVD).
+    """One diagonal block of a middle factor (spectral or SVD, both flavors).
 
-    size 1: the scalar block sigma + eps*sigma_prime; sigma_prime is 0 in a
-    spectral Sigma and sigma is 0 for an infinitesimal singular value.
-    size 2: the rotation-like block
+    size 1: the scalar block sigma + eps*sigma_prime, the only size in a T
+    middle factor; sigma_prime is 0 in a star spectral Sigma.
+    size 2: the star rotation-like block
     [[sigma, -eps*sigma_prime], [eps*sigma_prime, sigma]] with sigma_prime > 0.
     """
 
@@ -65,92 +68,103 @@ def block_matrix(blocks) -> DualMatrix:
     return out
 
 
+def dual_diagonal(flavor: str, blocks) -> list | None:
+    """A T middle factor's diagonal as Dual entries; None for star."""
+    return [Dual(b.sigma, b.sigma_prime) for b in blocks] if flavor == FLAVOR_T else None
+
+
 @dataclass
 class SpectralDecomposition:
     """M = v Sigma v*  (star flavor)  or  M = v D v^T  (T flavor)."""
 
     v: DualMatrix
     flavor: str
-    blocks: list | None = None  # star flavor
-    diag: list | None = None  # T flavor
+    blocks: list
 
     @property
     def n(self) -> int:
         return self.v.shape[0]
 
+    @property
+    def diag(self) -> list | None:
+        return dual_diagonal(self.flavor, self.blocks)
+
     def all_blocks(self) -> list:
-        """The middle factor's blocks; a T diagonal entry z is the size-1
-        block z.std + eps*z.inf."""
-        if self.flavor == FLAVOR_T:
-            return [SpectralBlock(z.std, z.inf, 1) for z in self.diag]
         return self.blocks
 
     def sigma_matrix(self) -> DualMatrix:
         """Assemble the canonical middle factor."""
-        return block_matrix(self.all_blocks())
+        return block_matrix(self.blocks)
 
 
 def eigenvalue_multiset(d: SpectralDecomposition):
     """The invariant eigenvalue multiset, as a sorted list of (sigma, signed
     sigma_prime) pairs.  A star 2x2 block contributes the conjugate pair."""
     pairs = []
-    for b in d.all_blocks():
+    for b in d.blocks:
         pairs.append((b.sigma, b.sigma_prime))
         if b.size == 2:
             pairs.append((b.sigma, -b.sigma_prime))
     return sorted(pairs)
 
 
-def _clusters(d: np.ndarray, cluster_tol: float):
-    """Group indices of a descending real sequence into near-equal clusters."""
-    n = len(d)
-    scale = max(1.0, float(np.abs(d).max())) if n else 1.0
-    groups = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs(d[j] - d[j + 1]) <= cluster_tol * scale:
-            j += 1
-        groups.append(list(range(i, j + 1)))
-        i = j + 1
-    return groups
+def _clusters(d: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Label each index of a descending real sequence with its cluster: a run
+    of neighbours that differ by at most cluster_tol * max(1, max|d|)."""
+    scale = max(1.0, float(np.abs(d).max(initial=0.0)))
+    gid = np.zeros(len(d), dtype=int)
+    np.add.accumulate(~(np.abs(d[1:] - d[:-1]) <= cluster_tol * scale), out=gid[1:], dtype=int)
+    return gid
 
 
-def resolve_cluster(bt: np.ndarray, idx: slice, flavor: str, scale: float, *isos):
-    """Resolve one cluster's infinitesimal block bt[idx, idx] with a real
-    rotation q, and turn bt and the columns ``idx`` of each isometry in
-    ``isos`` by it, in place.
+def resolve_clusters(vals, gid, bt, flavor: str, scale: float, c: float, *isos) -> list:
+    """The one pass over clusters: it decides the canonical middle factor.
 
-    This decides the canonical middle factor.  Returns (values, zeros):
-    q^T sym(b) q = diag(values), descending, for T; for star,
-    q^T skew(b) q is 2x2 rotation blocks with parameters ``values`` followed
-    by ``zeros`` zero entries.
+    A cluster (one label in ``gid``) of two or more values takes their mean,
+    in place in ``vals``; a real rotation q resolves its block b = bt[idx, idx]
+    (T: q^T sym(b) q diagonal; star: q^T skew(b) q in 2x2 rotation blocks and
+    zeros) and turns bt and the columns ``idx`` of each isometry in ``isos``.
+    A singleton's T value is its diagonal entry of bt.  Returns the blocks,
+    scaled by c.
     """
-    b = bt[idx, idx]
-    if flavor == FLAVOR_T:
-        es = sym_eig(0.5 * (b + b.T))
-        q, values, zeros = es.q, es.eigenvalues, 0
-    else:
-        b = 0.5 * (b - b.T)
-        # Rotation parameters below 1e-9 of the matrix scale collapse to
-        # scalar blocks; keeping them would emit near-boundary 2x2 blocks.
-        mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b).max()))
-        sb = skew_block_diag(b, tol=mu_floor)
-        q, values, zeros = sb.q, sb.mus, sb.zero_count
-    for iso in isos:
-        iso[:, idx] = iso[:, idx] @ q
-    bt[idx, :] = q.T @ bt[idx, :]
-    bt[:, idx] = bt[:, idx] @ q
-    return values, zeros
+    star = flavor == FLAVOR_STAR
+    # Per index: size (0 inside a 2x2 block) and parameter of the block there.
+    size = [1] * len(vals)
+    sp = np.zeros(len(vals)) if star else bt.diagonal()[: len(vals)].copy()
+    edges = [0, *((gid[1:] != gid[:-1]).nonzero()[0] + 1).tolist(), len(vals)]
+    for i, j in zip(edges, edges[1:]):
+        if j - i < 2:
+            continue
+        idx = slice(i, j)
+        vals[idx] = vals[idx].mean()
+        b = bt[idx, idx]
+        if star:
+            b = 0.5 * (b - b.T)
+            # Rotation parameters below 1e-9 of the matrix scale collapse to
+            # scalar blocks, not near-boundary 2x2 blocks.
+            mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b).max()))
+            sb = skew_block_diag(b, tol=mu_floor)
+            q, p = sb.q, len(sb.mus)
+            sp[i : i + 2 * p : 2] = sb.mus
+            size[i : i + 2 * p] = [2, 0] * p
+        else:
+            es = sym_eig(0.5 * (b + b.T))
+            q, sp[idx] = es.q, es.eigenvalues
+        for iso in isos:
+            iso[:, idx] = iso[:, idx] @ q
+        bt[idx, :] = q.T @ bt[idx, :]
+        bt[:, idx] = bt[:, idx] @ q
+    blocks = zip((c * vals).tolist(), (c * sp).tolist(), size)
+    return [SpectralBlock(*blk) for blk in blocks if blk[2]]
 
 
 def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     require_square(m, "spectral decomposition")
-    unit = unit_scale(m)
-    if unit != 1.0:
-        m = DualMatrix(m.std / unit, m.inf / unit)
+    c = unit_scale(m)
+    if c != 1.0:
+        m = DualMatrix(m.std / c, m.inf / c)
     n = m.shape[0]
-    scale = max(1.0, m.norm())
+    scale = m.norm()
     if structure_residual(m, SELF_ADJOINT[flavor]) > tol * scale:
         error = NotHermitian if flavor == FLAVOR_STAR else NotSymmetric
         raise error(f"matrix is not {SELF_ADJOINT[flavor]} within tolerance")
@@ -161,45 +175,18 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     # skew or symmetric.
     bt = q0.T @ m.inf @ q0
     bt = 0.5 * (bt + bt.T if flavor == FLAVOR_T else bt - bt.T)
-    groups = _clusters(d, cluster_tol)
-
-    # Resolve each cluster's block with a real rotation; a size-1 cluster's
-    # value is its diagonal entry of B~ (0 for star).  The cluster's values
-    # become their mean, so that D = d I on it, before Omega divides by them.
-    blocks = []
-    diag = []
-    for g in groups:
-        idx = slice(g[0], g[-1] + 1)
-        if len(g) > 1:
-            d[idx] = d[idx].mean()
-            vals, zeros = resolve_cluster(bt, idx, flavor, scale, q0)
-        elif flavor == FLAVOR_T:
-            vals, zeros = [bt[g[0], g[0]]], 0
-        else:
-            vals, zeros = [], 1
-        lam = unit * d[g[0]]
-        if flavor == FLAVOR_STAR:
-            blocks += [SpectralBlock(lam, unit * mu, 2) for mu in vals]
-            blocks += [SpectralBlock(lam, 0.0, 1) for _ in range(zeros)]
-        else:
-            diag += [Dual(lam, unit * y) for y in vals]
+    # Clusters take their mean value (D = d I on each) before Omega divides.
+    gid = _clusters(d, cluster_tol)
+    blocks = resolve_clusters(d, gid, bt, flavor, scale, c, q0)
 
     # M = V Sigma V^adj with V = Q0 (I + eps*Omega): across clusters
     # B~_ab = Omega_ab (d_b - d_a).
-    gid = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     omega = np.zeros((n, n))
     np.divide(bt, np.subtract.outer(d, d).T, out=omega, where=gid[:, None] != gid[None, :])
     v = DualMatrix(q0, q0 @ omega)
-
-    if flavor == FLAVOR_STAR:
-        dec = SpectralDecomposition(v, flavor, blocks=blocks)
-    else:
-        dec = SpectralDecomposition(v, flavor, diag=diag)
-
     if structure_residual(v, ISOMETRY[flavor]) > 1e-11 * max(1.0, v.norm()):
-        cols = gram_schmidt(v.columns(), flavor)
-        dec.v = DualMatrix.from_columns(cols, rows=n)
-    return dec
+        v = DualMatrix.from_columns(gram_schmidt(v.columns(), flavor), rows=n)
+    return SpectralDecomposition(v, flavor, blocks)
 
 
 def star_spectral(

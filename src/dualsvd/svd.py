@@ -3,9 +3,10 @@ the Moore-Penrose pseudoinverse.
 
 For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
 Singular values at or below the split threshold become zero; the others are
-clustered on S^2.  In B~ = U0^T B V0, each appreciable cluster's block is
-resolved by a real rotation (which decides the canonical middle factor) and
-the zero cluster's block by a real SVD.  The rest of B~ is absorbed by a
+clustered on S^2.  In B~ = U0^T B V0, the appreciable clusters go through
+the spectral decompositions' one cluster pass, ``resolve_clusters``, which
+yields their blocks of the middle factor Sigma (all of size 1 for T); a real
+SVD resolves the zero cluster's block.  The rest of B~ is absorbed by a
 first-order corrector: U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
 with Omega skew (T) or symmetric (star), are exact isometries because
 eps**2 = 0.  Inputs are first scaled by a power of two to unit norm.
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual
 from .errors import NotInvertible, VerificationError
 from .linalg import FLAVOR_STAR, FLAVOR_T, DualMatrix, adjoint, require_square, unit_scale
 from .spectral import (
@@ -25,12 +25,13 @@ from .spectral import (
     SpectralBlock,
     _clusters,
     block_matrix,
-    resolve_cluster,
+    dual_diagonal,
+    resolve_clusters,
 )
 
 DEFAULT_SPLIT_TOL = 1e-8
 
-# The SVD middle factor has the same blocks as a star-spectral Sigma.
+# The SVD middle factor has the same blocks as a spectral Sigma.
 SigmaBlock = SpectralBlock
 
 
@@ -41,8 +42,11 @@ class SvdResult:
     v: DualMatrix
     flavor: str
     residual: float
-    diag: list | None = None  # T flavor: list of Dual diagonal entries
-    blocks: list | None = None  # star flavor: list of SigmaBlock
+    blocks: list  # SigmaBlock list; sigma is block_matrix(blocks)
+
+    @property
+    def diag(self) -> list | None:
+        return dual_diagonal(self.flavor, self.blocks)
 
     def reconstruct(self) -> DualMatrix:
         return self.u @ self.sigma @ adjoint(self.v, self.flavor)
@@ -71,24 +75,16 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     if c != 1.0:
         m = DualMatrix(m.std / c, m.inf / c)
     n = m.shape[0]
-    star = flavor == FLAVOR_STAR
     u0, s, v0t = np.linalg.svd(m.std)
     v0 = v0t.T
-    scale = max(1.0, m.norm())
+    scale = m.norm()
     k = int(np.count_nonzero(s > tol * max(1.0, np.abs(m.std).max(initial=0.0))))
     s[k:] = 0.0
     bt = u0.T @ m.inf @ v0
-    groups = _clusters(s[:k] ** 2, cluster_tol)
-
-    # Resolve each appreciable cluster's block with a real rotation; a star
-    # cluster keeps its rotation parameters for the middle factor.  The
-    # cluster's values become their mean, so that S = s I on the cluster.
-    rotations = {}
-    for g in groups:
-        if len(g) > 1:
-            idx = slice(g[0], g[-1] + 1)
-            s[idx] = s[idx].mean()
-            rotations[g[0]] = resolve_cluster(bt, idx, flavor, scale, u0, v0)
+    # Each appreciable cluster's values become their mean: S = s I on it.
+    gid = np.full(n, -1)
+    gid[:k] = _clusters(s[:k] ** 2, cluster_tol)
+    blocks = resolve_clusters(s[:k], gid[:k], bt, flavor, scale, c, u0, v0)
     # The zero cluster's block is an infinitesimal map; a real SVD resolves it.
     tail = slice(k, n)
     p, delta, qt = np.linalg.svd(bt[tail, tail])
@@ -97,13 +93,13 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     bt[tail, :] = p.T @ bt[tail, :]
     bt[:, tail] = bt[:, tail] @ qt.T
     delta[delta <= 1e-12 * scale] = 0.0
+    blocks += [SpectralBlock(0.0, e, 1) for e in (c * delta).tolist()]
 
     # B~ = Omega_U S + D - S Omega_V.  Across clusters D = 0 and the pair
     # (i, j), (j, i) is a 2x2 system with determinant s_j^2 - s_i^2.  Inside
     # an appreciable cluster S = s I, and Omega_U takes the part of B~ that
     # D cannot hold; inside the zero cluster S = 0 and D takes all of it.
-    f = 1.0 if star else -1.0
-    gid = np.repeat(np.arange(len(groups) + 1), [len(g) for g in groups] + [n - k])
+    f = 1.0 if flavor == FLAVOR_STAR else -1.0
     same = gid[:, None] == gid[None, :]
     den = np.subtract.outer(s**2, s**2).T
     om_u = np.zeros((n, n))
@@ -114,20 +110,7 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
 
     u = DualMatrix(u0, u0 @ om_u)
     v = DualMatrix(v0, v0 @ om_v)
-    s *= c
-    if star:
-        blocks = []
-        for g in groups:
-            mus, zeros = rotations.get(g[0], ([], len(g)))
-            blocks += [SpectralBlock(s[g[0]], c * mu, 2) for mu in mus]
-            blocks += [SpectralBlock(s[g[0]], 0.0, 1) for _ in range(zeros)]
-        blocks += [SpectralBlock(0.0, c * e, 1) for e in delta]
-        sigma = block_matrix(blocks)
-        r = SvdResult(u, sigma, v, flavor, 0.0, blocks=blocks)
-    else:
-        d = c * np.concatenate([np.diag(bt)[:k], delta])
-        sigma = DualMatrix(np.diag(s), np.diag(d))
-        r = SvdResult(u, sigma, v, flavor, 0.0, diag=[Dual(a, b) for a, b in zip(s, d)])
+    r = SvdResult(u, block_matrix(blocks), v, flavor, 0.0, blocks)
     r.residual = (r.reconstruct() - m0).norm()
     return r, k
 
@@ -200,16 +183,16 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     if c != 1.0:
         m = DualMatrix(m.std / c, m.inf / c)
     r = svd(m, FLAVOR_T, tol)
-    scale = max(1.0, m.norm())
-    inv_entries = []
-    for d in r.diag:
-        if abs(d.std) > tol * scale:
-            inv_entries.append(d.inv())
-        elif abs(d.inf) <= tol * scale:
-            inv_entries.append(Dual(0.0))
-        else:
-            return None
-    x = r.v @ DualMatrix.diagonal(inv_entries) @ r.u.T
+    scale = m.norm()
+    a, b = np.diag(r.sigma.std), np.diag(r.sigma.inf)
+    keep = np.abs(a) > tol * scale
+    if (np.abs(b[~keep]) > tol * scale).any():
+        return None
+    # 1/a - eps*b/a^2, as Dual.inv computes it; zeros stay zero.
+    x_std, x_inf = np.zeros_like(a), np.zeros_like(a)
+    np.divide(1.0, a, out=x_std, where=keep)
+    np.divide(-b, a * a, out=x_inf, where=keep)
+    x = r.v @ DualMatrix(np.diag(x_std), np.diag(x_inf)) @ r.u.T
     resid = penrose_residuals(m, x)
     worst = max(resid.values())
     if worst > 1e-8 * scale:

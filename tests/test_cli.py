@@ -63,6 +63,10 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_matrix('{"rows": Infinity, "cols": 1, "entries": []}')
 
+    def test_rejects_negative_dimensions(self):
+        with pytest.raises(ParseError, match="negative"):
+            obj_to_matrix({"rows": -1, "cols": 1, "entries": []})
+
     def test_matrix_obj_shape(self):
         obj = matrix_to_obj(DualMatrix([[1, 2], [3, 4]], [[5, 6], [7, 8]]))
         assert obj["rows"] == 2 and obj["cols"] == 2
@@ -178,6 +182,10 @@ class TestClassify:
         inp = write_matrix(tmp_path / "m.json", m)
         assert main(["classify", "--input", inp]) == 3
 
+    def test_not_2x2_exit_3(self, tmp_path, rng):
+        inp = write_matrix(tmp_path / "m.json", random_dual_matrix(rng, 3, "generic"))
+        assert main(["classify", "--input", inp]) == 3
+
 
 class TestCheck:
     def test_tampered_u_fails(self, tmp_path, rng):
@@ -225,6 +233,19 @@ class TestCheck:
         main(["decompose", "--kind", "t-svd", "--input", inp, "--output", out])
         other = write_matrix(tmp_path / "m2.json", random_dual_matrix(rng, 2, "generic"))
         assert main(["check", "--input", other, "--result", out]) == 2
+
+    def test_malformed_result_is_parse_error(self, tmp_path, rng):
+        inp = write_matrix(tmp_path / "m.json", random_dual_matrix(rng, 3, "generic"))
+        out = tmp_path / "r.json"
+        main(["decompose", "--kind", "t-svd", "--input", inp, "--output", str(out)])
+        doc = loads(out.read_text())
+        no_u = dict(doc, factors={k: v for k, v in doc["factors"].items() if k != "u"})
+        # Not an object, a missing factor, an unknown kind.
+        for bad in ([1, 2], no_u, dict(doc, kind="lu-decomposition")):
+            out.write_text(dumps(bad))
+            assert main(["check", "--input", inp, "--result", str(out)]) == 2
+        absent = str(tmp_path / "absent.json")
+        assert main(["check", "--input", inp, "--result", absent]) == 2
 
     def test_pinv_nonexistent_check(self, tmp_path):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dualsvd import (
+    FLAVOR_STAR,
     Dual,
     DualMatrix,
     LaguerreTransform,
@@ -13,7 +14,9 @@ from dualsvd import (
     apply_transform,
     classify_transform,
     structure_residual,
+    svd,
 )
+from dualsvd.laguerre import FORM_BOUNDARY_TOL
 
 
 def transform(std, inf=None):
@@ -131,3 +134,20 @@ class TestClassify:
             assert structure_residual(c.u, "unitary") < 1e-11
             assert structure_residual(c.v, "unitary") < 1e-11
             assert (c.reconstruct() - m).norm() < 1e-9 * m.norm()
+
+    def test_form_boundary_is_form1(self, rng):
+        # s P (I + eps*sp*J): the *-SVD keeps one 2x2 block, but its rotation
+        # parameter is below FORM_BOUNDARY_TOL*|M|, so the classification
+        # treats it as zero and gives Form 1 with two equal sigmas.
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        for sp in (2e-9, 5e-9):
+            for _ in range(20):
+                p, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+                s = float(rng.uniform(0.5, 3.0))
+                m = DualMatrix(s * p, s * sp * (p @ j))
+                (blk,) = svd(m, FLAVOR_STAR, 0.0).blocks
+                assert blk.size == 2 and blk.sigma_prime <= FORM_BOUNDARY_TOL * m.norm()
+                c = classify_transform(LaguerreTransform(m))
+                assert c.form == 1 and c.sigma[0] == c.sigma[1]
+                assert (c.reconstruct() - m).norm() <= 1e-12 * m.norm()
+                assert structure_residual(c.u, "unitary") <= 2 * FORM_BOUNDARY_TOL

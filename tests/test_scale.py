@@ -16,6 +16,7 @@ from dualsvd import (
     DualMatrix,
     LaguerreTransform,
     NonFiniteInput,
+    NotInvertible,
     classify_transform,
     penrose_residuals,
     pinv_t,
@@ -24,6 +25,7 @@ from dualsvd import (
     structure_residual,
     svd,
     svd_invertible,
+    t_polar,
     t_spectral,
 )
 from conftest import random_dual_matrix, random_hermitian, random_symmetric
@@ -60,9 +62,7 @@ def fixed_and_scaled(kind, r):
     """(arrays that do not change with the scale of M, arrays that scale
     like M, exponent of that scaling)."""
     if kind.startswith("svd"):
-        values = [(b.sigma, b.sigma_prime) for b in r.blocks] if r.blocks is not None else [
-            (d.std, d.inf) for d in r.diag
-        ]
+        values = [(b.sigma, b.sigma_prime) for b in r.blocks]
         return [r.u.std, r.u.inf, r.v.std, r.v.inf], [r.sigma.std, r.sigma.inf, values], 1
     if kind == "pinv_t":
         return [], ([] if r is None else [r.std, r.inf]), -1
@@ -149,3 +149,27 @@ def test_non_finite_input_is_typed(name, bad, part):
     (std if part == "std" else inf)[0, 0] = bad
     with pytest.raises(NonFiniteInput):
         ENTRY_POINTS[name](DualMatrix(std, inf))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_zero_matrix(n):
+    """||M|| = 0 leaves nothing to scale by: identity isometries, zero middle
+    factors, a zero pseudoinverse, and no Laguerre classification."""
+    z = DualMatrix.zeros(n, n)
+
+    def identity(q):
+        return np.array_equal(q.std, np.eye(n)) and not q.inf.any()
+
+    def zero(a):
+        return a.shape == (n, n) and not (a.std.any() or a.inf.any())
+
+    for flavor in (FLAVOR_T, FLAVOR_STAR):
+        r = svd(z, flavor)
+        assert identity(r.u) and identity(r.v) and zero(r.sigma)
+    for dec in (t_spectral(z), star_spectral(z)):
+        assert identity(dec.v) and zero(dec.sigma_matrix())
+    assert zero(pinv_t(z))
+    polar = t_polar(z)
+    assert identity(polar.u) and zero(polar.p)
+    with pytest.raises(NotInvertible):
+        classify_transform(LaguerreTransform(DualMatrix.zeros(2, 2)))

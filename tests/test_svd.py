@@ -302,6 +302,14 @@ class TestPinv:
         x = pinv_t(DualMatrix(np.diag([2.0, 0.0])))
         assert (x - DualMatrix(np.diag([0.5, 0.0]))).norm() < 1e-12
 
+    def test_diagonal_matches_dual_inverse(self):
+        # The appreciable entries are inverted as Dual.inv does it, bit for
+        # bit; the exact zero stays zero.
+        entries = [Dual(3.0, 0.7), Dual(-0.3, 1.9), Dual(0.0)]
+        x = pinv_t(DualMatrix.diagonal(entries))
+        want = DualMatrix.diagonal([entries[0].inv(), entries[1].inv(), Dual(0.0)])
+        assert np.array_equal(x.std, want.std) and np.array_equal(x.inf, want.inf)
+
     def test_1x1_matches_analytic_oracle(self, rng):
         cases = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, -3.0), (0.0, -0.5)]
         cases += [tuple(rng.standard_normal(2)) for _ in range(20)]
