@@ -1,5 +1,6 @@
 """Laguerre (dual Moebius) transformations z -> (az + b)/(cz + d) and the
-two-form classification of invertible 2x2 dual matrices."""
+two-form classification of invertible 2x2 dual matrices, both decided by
+the *-SVD's split and blocks."""
 
 from __future__ import annotations
 
@@ -8,13 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual
-from .errors import DimensionMismatch, NotInvertible, PoleAt
-from .linalg import FLAVOR_STAR, DualMatrix, unit_scale
+from .errors import DimensionMismatch, PoleAt
+from .linalg import FLAVOR_STAR, DualMatrix
 from .spectral import SpectralBlock, block_matrix
-from .svd import svd
-
-# A 2x2 rotation parameter below this (relative) size collapses to Form 1.
-FORM_BOUNDARY_TOL = 1e-8
+from .svd import svd_invertible
 
 
 @dataclass
@@ -62,28 +60,14 @@ def apply_transform(t: LaguerreTransform, z: Dual) -> Dual:
 def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     """Classify an invertible 2x2 dual matrix into Yaglom's two normal forms.
 
-    The split is read off the *-SVD m = U Sigma V*: two scalar blocks give
-    Form 1 with u = U and v = V; one genuine 2x2 rotation block gives Form 2
-    with u = U V*, since V Sigma V* = sigma I + eps*det(V0)*sigma'*J for the
-    standard part V0 of V.  The work is done on m scaled by a power of two to
-    unit norm.
+    The Form is read off the blocks of the *-SVD m = U Sigma V* that
+    ``svd_invertible`` returns: two scalar blocks give Form 1 with u = U and
+    v = V; one 2x2 rotation block gives Form 2 with u = U V*, since
+    V Sigma V* = sigma I + eps*det(V0)*sigma'*J for the standard part V0 of V.
     """
-    c = unit_scale(t.m)
-    m = t.m if c == 1.0 else DualMatrix(t.m.std / c, t.m.inf / c)
-    det = LaguerreTransform(m).det()
-    scale = m.norm()
-    if abs(det.std) <= 1e-12 * scale * scale:
-        raise NotInvertible("determinant is not appreciable")
-
-    # Split tolerance 0: every singular value of an invertible m counts.
-    r = svd(m, FLAVOR_STAR, 0.0)
+    r = svd_invertible(t.m, FLAVOR_STAR)
     blk = r.blocks[0]
     if blk.size == 1:
-        sigmas = tuple(c * b.sigma for b in r.blocks)
-        return LaguerreClassification(1, r.u, sigmas, v=r.v)
-    if abs(blk.sigma_prime) > FORM_BOUNDARY_TOL * scale:
-        sp = blk.sigma_prime * float(np.sign(np.linalg.det(r.v.std)))
-        return LaguerreClassification(2, r.u @ r.v.star(), c * blk.sigma, sigma_prime=c * sp)
-    # Boundary: treat the rotation parameter as zero.
-    u = m @ r.v @ DualMatrix(np.eye(2) / blk.sigma)
-    return LaguerreClassification(1, u, (c * blk.sigma, c * blk.sigma), v=r.v)
+        return LaguerreClassification(1, r.u, tuple(b.sigma for b in r.blocks), v=r.v)
+    sp = blk.sigma_prime * float(np.sign(np.linalg.det(r.v.std)))
+    return LaguerreClassification(2, r.u @ r.v.star(), blk.sigma, sigma_prime=sp)

@@ -2,14 +2,16 @@
 the Moore-Penrose pseudoinverse.
 
 For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
-Singular values at or below the split threshold become zero; the others are
+Inputs are first scaled by a power of two to unit norm.  The split is the
+one appreciability rule, read by every consumer: a singular value counts iff
+it exceeds tol*||M||; the rest become zero.  The appreciable values are
 clustered on S^2.  In B~ = U0^T B V0, the appreciable clusters go through
 the spectral decompositions' one cluster pass, ``resolve_clusters``, which
 yields their blocks of the middle factor Sigma (all of size 1 for T); a real
 SVD resolves the zero cluster's block.  The rest of B~ is absorbed by a
 first-order corrector: U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
 with Omega skew (T) or symmetric (star), are exact isometries because
-eps**2 = 0.  Inputs are first scaled by a power of two to unit norm.
+eps**2 = 0.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     u0, s, v0t = np.linalg.svd(m.std)
     v0 = v0t.T
     scale = m.norm()
-    k = int(np.count_nonzero(s > tol * max(1.0, np.abs(m.std).max(initial=0.0))))
+    k = int(np.count_nonzero(s > tol * scale))
     s[k:] = 0.0
     bt = u0.T @ m.inf @ v0
     # Each appreciable cluster's values become their mean: S = s I on it.
@@ -115,29 +117,20 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     return r, k
 
 
-def svd_invertible(
-    m: DualMatrix, flavor: str, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> SvdResult:
+def svd_invertible(m: DualMatrix, flavor: str) -> SvdResult:
     """SVD of a dual matrix whose standard part is invertible: the general
-    SVD with no singular value split off."""
-    require_square(m, "svd")
-    unit_scale(m)  # rejects non-finite input before LAPACK sees it
-    sv = np.linalg.svd(m.std, compute_uv=False)
-    if sv.size and sv.min() <= 1e-10 * sv.max():
+    SVD, with every singular value appreciable."""
+    r, k = _svd(m, flavor, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
+    if k < m.shape[0]:
         raise NotInvertible("standard part is numerically singular")
-    return _svd(m, flavor, 0.0, cluster_tol)[0]
+    return r
 
 
-def split_subspaces(
-    m: DualMatrix,
-    flavor: str,
-    tol: float = DEFAULT_SPLIT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SubspaceSplit:
+def split_subspaces(m: DualMatrix, flavor: str) -> SubspaceSplit:
     """Split the right singular vectors by image appreciability: the first
     k columns of the SVD's V, for the k appreciable singular values, and the
     rest."""
-    r, k = _svd(m, flavor, tol, cluster_tol)
+    r, k = _svd(m, flavor, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
     cols = r.v.columns()
     return SubspaceSplit(cols[:k], cols[k:])
 
@@ -175,23 +168,22 @@ def penrose_residuals(m: DualMatrix, x: DualMatrix) -> dict:
 def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     """Moore-Penrose pseudoinverse via the T-SVD, or None when none exists.
 
-    Appreciable singular values are inverted; exact zeros are zeroed; a
-    pure-infinitesimal nonzero singular value certifies nonexistence.  The
+    The k appreciable singular values are inverted and the rest are zero; a
+    nonzero infinitesimal part among the rest certifies nonexistence.  The
     work, the Penrose self-check included, is done on M scaled to unit norm.
     """
     c = unit_scale(m)
     if c != 1.0:
         m = DualMatrix(m.std / c, m.inf / c)
-    r = svd(m, FLAVOR_T, tol)
+    r, k = _svd(m, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL)
     scale = m.norm()
     a, b = np.diag(r.sigma.std), np.diag(r.sigma.inf)
-    keep = np.abs(a) > tol * scale
-    if (np.abs(b[~keep]) > tol * scale).any():
+    if (np.abs(b[k:]) > tol * scale).any():
         return None
     # 1/a - eps*b/a^2, as Dual.inv computes it; zeros stay zero.
     x_std, x_inf = np.zeros_like(a), np.zeros_like(a)
-    np.divide(1.0, a, out=x_std, where=keep)
-    np.divide(-b, a * a, out=x_inf, where=keep)
+    x_std[:k] = 1.0 / a[:k]
+    x_inf[:k] = -b[:k] / (a[:k] * a[:k])
     x = r.v @ DualMatrix(np.diag(x_std), np.diag(x_inf)) @ r.u.T
     resid = penrose_residuals(m, x)
     worst = max(resid.values())

@@ -1,11 +1,15 @@
 """File format round trips and command-line behavior, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualsvd
 from dualsvd import Dual, DualMatrix
 from dualsvd.cli import main
 from dualsvd.fileformat import (
@@ -185,6 +189,25 @@ class TestClassify:
     def test_not_2x2_exit_3(self, tmp_path, rng):
         inp = write_matrix(tmp_path / "m.json", random_dual_matrix(rng, 3, "generic"))
         assert main(["classify", "--input", inp]) == 3
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m dualsvd.cli` goes through entry(), which must turn
+        # main()'s return value into the process exit status.
+        src = str(Path(dualsvd.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def run(m):
+            inp = write_matrix(tmp_path / "m.json", m)
+            cmd = [sys.executable, "-m", "dualsvd.cli", "classify", "--input", inp]
+            return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+        ok = run(DualMatrix(np.diag([2.0, 1.0])))
+        assert ok.returncode == 0
+        assert ok.stdout.splitlines()[:2] == ["form=1", "sigma=[2, 1]"]
+        singular = run(DualMatrix([[0, 0], [0, 1]], [[1, 0], [0, 0]]))
+        assert singular.returncode == 3
+        assert "NotInvertible" in singular.stderr
 
 
 class TestCheck:

@@ -16,7 +16,6 @@ from dualsvd import (
     structure_residual,
     svd,
 )
-from dualsvd.laguerre import FORM_BOUNDARY_TOL
 
 
 def transform(std, inf=None):
@@ -135,19 +134,31 @@ class TestClassify:
             assert structure_residual(c.v, "unitary") < 1e-11
             assert (c.reconstruct() - m).norm() < 1e-9 * m.norm()
 
-    def test_form_boundary_is_form1(self, rng):
-        # s P (I + eps*sp*J): the *-SVD keeps one 2x2 block, but its rotation
-        # parameter is below FORM_BOUNDARY_TOL*|M|, so the classification
-        # treats it as zero and gives Form 1 with two equal sigmas.
+    def test_form_follows_star_svd_blocks(self, rng):
+        # s P (I + eps*sp*J) around the *-SVD's rotation-parameter floor: the
+        # Form is the block structure of svd(m, "star"), and either Form's u
+        # is unitary to rounding.
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
-        for sp in (2e-9, 5e-9):
+        for sp in (2e-10, 5e-10, 2e-9, 5e-9, 9e-9):
             for _ in range(20):
                 p, _ = np.linalg.qr(rng.standard_normal((2, 2)))
                 s = float(rng.uniform(0.5, 3.0))
                 m = DualMatrix(s * p, s * sp * (p @ j))
-                (blk,) = svd(m, FLAVOR_STAR, 0.0).blocks
-                assert blk.size == 2 and blk.sigma_prime <= FORM_BOUNDARY_TOL * m.norm()
+                two_by_two = svd(m, FLAVOR_STAR).blocks[0].size == 2
                 c = classify_transform(LaguerreTransform(m))
-                assert c.form == 1 and c.sigma[0] == c.sigma[1]
-                assert (c.reconstruct() - m).norm() <= 1e-12 * m.norm()
-                assert structure_residual(c.u, "unitary") <= 2 * FORM_BOUNDARY_TOL
+                assert (c.form == 2) == two_by_two
+                assert structure_residual(c.u, "unitary") <= 1e-12
+                assert (c.reconstruct() - m).norm() <= 1e-9 * m.norm()
+
+    def test_small_singular_value_is_not_invertible(self, rng):
+        # A singular value at or below the *-SVD's split tol*||M|| makes m
+        # singular for the classification, as for svd_invertible.
+        for _ in range(40):
+            p, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            inf = rng.standard_normal((2, 2))
+            nrm = DualMatrix(p @ np.diag([1.0, 0.0]) @ q.T, inf).norm()
+            s_min = 10.0 ** rng.uniform(-11.0, -8.01) * nrm
+            m = DualMatrix(p @ np.diag([1.0, s_min]) @ q.T, inf)
+            with pytest.raises(NotInvertible):
+                classify_transform(LaguerreTransform(m))

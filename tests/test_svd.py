@@ -12,6 +12,7 @@ from dualsvd import (
     DualVector,
     NotInvertible,
     SigmaBlock,
+    VerificationError,
     adjoint,
     eigenvalue_multiset,
     form,
@@ -124,6 +125,33 @@ class TestSplitSubspaces:
                         assert form(w, v, flavor).abs_max() < 1e-9 * max(
                             1.0, m.norm()
                         )
+
+
+class TestOneAppreciabilityRule:
+    """Every consumer of the split reads the SVD's k, so the four verdicts
+    below agree.  M = diag(1, s) + eps*diag(0, 1.9) has max|A| = 1 below
+    ||M|| = 1.9, and s = 1.5e-8 lies between tol*max|A| and the split
+    tol*||M||, so a rule taken relative to max|A| would disagree."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("s, k", [(0.5e-8, 1), (1.5e-8, 1), (4e-8, 2)])
+    def test_consumers_agree_on_k(self, flavor, s, k):
+        m = DualMatrix(np.diag([1.0, s]), [[0.0, 0.0], [0.0, 1.9]])
+        r = svd(m, flavor)
+        assert sum(b.size for b in r.blocks if b.sigma != 0) == k
+        assert len(split_subspaces(m, flavor).vl_basis) == k
+        if k < 2:
+            with pytest.raises(NotInvertible):
+                svd_invertible(m, flavor)
+        else:
+            svd_invertible(m, flavor)
+        try:
+            nonexistent = pinv_t(m) is None
+        except VerificationError:
+            # An inverse exists, but X ~ eps/s^2 fails the Penrose
+            # self-check, whose limit does not grow with ||X||.
+            nonexistent = False
+        assert nonexistent == (k < 2)
 
 
 class TestGeneralSvd:
