@@ -220,7 +220,7 @@ def cmd_check(args) -> int:
         raise ParseError("result document dimensions do not match the input")
     for name, residual, limit in _verify(m, doc, args.tol):
         print(f"{name}: residual={residual:.3e} limit={limit:.3e}")
-        if residual > limit:
+        if not residual <= limit:
             print(f"verification failed: {name}", file=sys.stderr)
             return 4
     return 0

@@ -9,6 +9,8 @@ Two flavors of geometry run through the whole library:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dual import Dual
@@ -81,10 +83,10 @@ class DualVector:
         return DualVector(self.std, -self.inf)
 
     def norm(self) -> float:
-        """Entrywise max-abs over both components."""
+        """Entrywise max-abs over both components; NaN if either holds one."""
         if len(self) == 0:
             return 0.0
-        return max(np.abs(self.std).max(), np.abs(self.inf).max())
+        return np.maximum(np.abs(self.std).max(), np.abs(self.inf).max())
 
     def copy(self) -> "DualVector":
         return DualVector(self.std.copy(), self.inf.copy())
@@ -107,6 +109,13 @@ class DualMatrix:
         if self.std.shape != self.inf.shape:
             raise DimensionMismatch("std and inf parts differ in shape")
 
+    @classmethod
+    def _of(cls, std, inf) -> "DualMatrix":
+        """Wrap two same-shape 2-D float64 arrays as they are, unchecked."""
+        m = object.__new__(cls)
+        m.std, m.inf = std, inf
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -115,7 +124,7 @@ class DualMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "DualMatrix":
-        return cls(np.zeros((rows, cols)))
+        return cls._of(np.zeros((rows, cols)), np.zeros((rows, cols)))
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "DualMatrix":
@@ -173,38 +182,38 @@ class DualMatrix:
     def __add__(self, other: "DualMatrix") -> "DualMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"add: {self.shape} vs {other.shape}")
-        return DualMatrix(self.std + other.std, self.inf + other.inf)
+        return DualMatrix._of(self.std + other.std, self.inf + other.inf)
 
     def __sub__(self, other: "DualMatrix") -> "DualMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"sub: {self.shape} vs {other.shape}")
-        return DualMatrix(self.std - other.std, self.inf - other.inf)
+        return DualMatrix._of(self.std - other.std, self.inf - other.inf)
 
     def __neg__(self) -> "DualMatrix":
-        return DualMatrix(-self.std, -self.inf)
+        return DualMatrix._of(-self.std, -self.inf)
 
     def __matmul__(self, other: "DualMatrix") -> "DualMatrix":
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"mul: {self.shape} vs {other.shape}")
         # (A + eps B)(C + eps D) = AC + eps(AD + BC)
-        return DualMatrix(
+        return DualMatrix._of(
             self.std @ other.std, self.std @ other.inf + self.inf @ other.std
         )
 
     def scale(self, s) -> "DualMatrix":
         s = s if isinstance(s, Dual) else Dual(float(s))
-        return DualMatrix(s.std * self.std, s.std * self.inf + s.inf * self.std)
+        return DualMatrix._of(s.std * self.std, s.std * self.inf + s.inf * self.std)
 
     @property
     def T(self) -> "DualMatrix":
-        return DualMatrix(self.std.T, self.inf.T)
+        return DualMatrix._of(self.std.T, self.inf.T)
 
     def conj(self) -> "DualMatrix":
-        return DualMatrix(self.std, -self.inf)
+        return DualMatrix._of(self.std, -self.inf)
 
     def star(self) -> "DualMatrix":
         """M* = conj(M)^T."""
-        return DualMatrix(self.std.T, -self.inf.T)
+        return DualMatrix._of(self.std.T, -self.inf.T)
 
     def apply(self, v: DualVector) -> DualVector:
         if self.shape[1] != len(v):
@@ -216,25 +225,32 @@ class DualMatrix:
     # -- norms -------------------------------------------------------------
 
     def norm(self) -> float:
-        """Max over both real parts of the entrywise-max norm."""
+        """Max over both real parts of the entrywise-max norm; NaN if either
+        part holds a NaN."""
         if self.std.size == 0:
             return 0.0
-        return max(np.abs(self.std).max(), np.abs(self.inf).max())
+        return np.maximum(np.abs(self.std).max(), np.abs(self.inf).max())
 
     def __repr__(self):
         return f"DualMatrix(std=\n{self.std},\ninf=\n{self.inf})"
 
 
-def unit_scale(m: DualMatrix) -> float:
-    """The power of two c with ||M / c|| in [1, 2), or 1 for the zero matrix.
+def unit_scale(m: DualMatrix):
+    """(M / c, c, ||M / c||) for the power of two c with ||M / c|| in [1, 2);
+    (M, 1, 0) for the zero matrix.
 
     Dividing by c is exact, so an entry point that decomposes M / c and
     scales its results back by c is scale-equivariant for powers of two.
     """
-    if not (np.isfinite(m.std).all() and np.isfinite(m.inf).all()):
+    nrm = float(m.norm())
+    if not math.isfinite(nrm):
         raise NonFiniteInput("matrix has a NaN or infinite entry")
-    nrm = m.norm()
-    return float(np.ldexp(1.0, np.frexp(nrm)[1] - 1)) if nrm else 1.0
+    if not nrm:
+        return m, 1.0, 0.0
+    c = math.ldexp(1.0, math.frexp(nrm)[1] - 1)
+    if c == 1.0:
+        return m, c, nrm
+    return DualMatrix._of(m.std / c, m.inf / c), c, nrm / c
 
 
 def adjoint(m: DualMatrix, flavor: str) -> DualMatrix:
@@ -280,8 +296,12 @@ def structure_residual(m: DualMatrix, kind: str) -> float:
     adj = adjoint(m, _KIND_FLAVOR[kind])
     if kind in SELF_ADJOINT.values():
         return (m - adj).norm()
-    ident = DualMatrix.identity(m.shape[0])
-    return max((adj @ m - ident).norm(), (m @ adj - ident).norm())
+    n = m.shape[0]
+    g, h = adj @ m, m @ adj
+    # Both products are fresh, so I comes off their diagonals in place.
+    g.std.flat[:: n + 1] -= 1.0
+    h.std.flat[:: n + 1] -= 1.0
+    return np.maximum(g.norm(), h.norm())
 
 
 def structure_check(m: DualMatrix, kind: str, tol: float) -> bool:

@@ -160,11 +160,8 @@ def resolve_clusters(vals, gid, bt, flavor: str, scale: float, c: float, *isos) 
 
 def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     require_square(m, "spectral decomposition")
-    c = unit_scale(m)
-    if c != 1.0:
-        m = DualMatrix(m.std / c, m.inf / c)
+    m, c, scale = unit_scale(m)
     n = m.shape[0]
-    scale = m.norm()
     if structure_residual(m, SELF_ADJOINT[flavor]) > tol * scale:
         error = NotHermitian if flavor == FLAVOR_STAR else NotSymmetric
         raise error(f"matrix is not {SELF_ADJOINT[flavor]} within tolerance")
@@ -183,7 +180,7 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     # B~_ab = Omega_ab (d_b - d_a).
     omega = np.zeros((n, n))
     np.divide(bt, np.subtract.outer(d, d).T, out=omega, where=gid[:, None] != gid[None, :])
-    v = DualMatrix(q0, q0 @ omega)
+    v = DualMatrix._of(q0, q0 @ omega)
     if structure_residual(v, ISOMETRY[flavor]) > 1e-11 * max(1.0, v.norm()):
         v = DualMatrix.from_columns(gram_schmidt(v.columns(), flavor), rows=n)
     return SpectralDecomposition(v, flavor, blocks)

@@ -7,11 +7,12 @@ one appreciability rule, read by every consumer: a singular value counts iff
 it exceeds tol*||M||; the rest become zero.  The appreciable values are
 clustered on S^2.  In B~ = U0^T B V0, the appreciable clusters go through
 the spectral decompositions' one cluster pass, ``resolve_clusters``, which
-yields their blocks of the middle factor Sigma (all of size 1 for T); a real
-SVD resolves the zero cluster's block.  The rest of B~ is absorbed by a
-first-order corrector: U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
-with Omega skew (T) or symmetric (star), are exact isometries because
-eps**2 = 0.
+yields their blocks of the middle factor Sigma (all of size 1 for T); when
+k < n, a real SVD resolves the zero cluster's block.  The rest of B~ is
+absorbed by a first-order corrector: U = U0 (I + eps*Omega_U) and
+V = V0 (I + eps*Omega_V), with Omega skew (T) or symmetric (star), are exact
+isometries because eps**2 = 0.  A result's reconstruction residual is
+computed when it is read.
 """
 
 from __future__ import annotations
@@ -43,12 +44,17 @@ class SvdResult:
     sigma: DualMatrix
     v: DualMatrix
     flavor: str
-    residual: float
     blocks: list  # SigmaBlock list; sigma is block_matrix(blocks)
+    m: DualMatrix  # the decomposed matrix
 
     @property
     def diag(self) -> list | None:
         return dual_diagonal(self.flavor, self.blocks)
+
+    @property
+    def residual(self) -> float:
+        """Reconstruction residual ||U Sigma V^adj - M||."""
+        return (self.reconstruct() - self.m).norm()
 
     def reconstruct(self) -> DualMatrix:
         return self.u @ self.sigma @ adjoint(self.v, self.flavor)
@@ -73,13 +79,11 @@ class PolarResult:
 def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     """The SVD of ``m`` and its number k of appreciable singular values."""
     require_square(m, "svd")
-    m0, c = m, unit_scale(m)
-    if c != 1.0:
-        m = DualMatrix(m.std / c, m.inf / c)
+    m0 = m
+    m, c, scale = unit_scale(m)
     n = m.shape[0]
     u0, s, v0t = np.linalg.svd(m.std)
     v0 = v0t.T
-    scale = m.norm()
     k = int(np.count_nonzero(s > tol * scale))
     s[k:] = 0.0
     bt = u0.T @ m.inf @ v0
@@ -88,14 +92,15 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     gid[:k] = _clusters(s[:k] ** 2, cluster_tol)
     blocks = resolve_clusters(s[:k], gid[:k], bt, flavor, scale, c, u0, v0)
     # The zero cluster's block is an infinitesimal map; a real SVD resolves it.
-    tail = slice(k, n)
-    p, delta, qt = np.linalg.svd(bt[tail, tail])
-    u0[:, tail] = u0[:, tail] @ p
-    v0[:, tail] = v0[:, tail] @ qt.T
-    bt[tail, :] = p.T @ bt[tail, :]
-    bt[:, tail] = bt[:, tail] @ qt.T
-    delta[delta <= 1e-12 * scale] = 0.0
-    blocks += [SpectralBlock(0.0, e, 1) for e in (c * delta).tolist()]
+    if k < n:
+        tail = slice(k, n)
+        p, delta, qt = np.linalg.svd(bt[tail, tail])
+        u0[:, tail] = u0[:, tail] @ p
+        v0[:, tail] = v0[:, tail] @ qt.T
+        bt[tail, :] = p.T @ bt[tail, :]
+        bt[:, tail] = bt[:, tail] @ qt.T
+        delta[delta <= 1e-12 * scale] = 0.0
+        blocks += [SpectralBlock(0.0, e, 1) for e in (c * delta).tolist()]
 
     # B~ = Omega_U S + D - S Omega_V.  Across clusters D = 0 and the pair
     # (i, j), (j, i) is a 2x2 system with determinant s_j^2 - s_i^2.  Inside
@@ -110,11 +115,9 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     np.divide(s[:, None] * bt - f * bt.T * s, den, out=om_v, where=~same)
     np.divide(0.5 * (bt + f * bt.T), s[:, None], out=om_u, where=same & (s[:, None] > 0))
 
-    u = DualMatrix(u0, u0 @ om_u)
-    v = DualMatrix(v0, v0 @ om_v)
-    r = SvdResult(u, block_matrix(blocks), v, flavor, 0.0, blocks)
-    r.residual = (r.reconstruct() - m0).norm()
-    return r, k
+    u = DualMatrix._of(u0, u0 @ om_u)
+    v = DualMatrix._of(v0, v0 @ om_v)
+    return SvdResult(u, block_matrix(blocks), v, flavor, blocks, m0), k
 
 
 def svd_invertible(m: DualMatrix, flavor: str) -> SvdResult:
@@ -172,11 +175,8 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     nonzero infinitesimal part among the rest certifies nonexistence.  The
     work, the Penrose self-check included, is done on M scaled to unit norm.
     """
-    c = unit_scale(m)
-    if c != 1.0:
-        m = DualMatrix(m.std / c, m.inf / c)
+    m, c, scale = unit_scale(m)
     r, k = _svd(m, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL)
-    scale = m.norm()
     a, b = np.diag(r.sigma.std), np.diag(r.sigma.inf)
     if (np.abs(b[k:]) > tol * scale).any():
         return None
@@ -184,11 +184,10 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     x_std, x_inf = np.zeros_like(a), np.zeros_like(a)
     x_std[:k] = 1.0 / a[:k]
     x_inf[:k] = -b[:k] / (a[:k] * a[:k])
-    x = r.v @ DualMatrix(np.diag(x_std), np.diag(x_inf)) @ r.u.T
-    resid = penrose_residuals(m, x)
-    worst = max(resid.values())
-    if worst > 1e-8 * scale:
+    x = r.v @ DualMatrix._of(np.diag(x_std), np.diag(x_inf)) @ r.u.T
+    worst = np.max(list(penrose_residuals(m, x).values()))
+    if not worst <= 1e-8 * scale:
         raise VerificationError(
             f"Penrose identities failed at {worst:.3e} (scale {scale:.3e})"
         )
-    return x if c == 1.0 else DualMatrix(x.std / c, x.inf / c)
+    return x if c == 1.0 else DualMatrix._of(x.std / c, x.inf / c)

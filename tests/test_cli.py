@@ -270,6 +270,20 @@ class TestCheck:
         absent = str(tmp_path / "absent.json")
         assert main(["check", "--input", inp, "--result", absent]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_fails(self, tmp_path, capsys):
+        # u = I + eps*[[0, 1e308], [-1e308, 0]] is exactly T-orthogonal, but
+        # U Sigma U^T overflows to inf - inf = NaN in its infinitesimal part.
+        m = DualMatrix(10.0 * np.eye(2))
+        inp = write_matrix(tmp_path / "m.json", m)
+        u = matrix_to_obj(DualMatrix(np.eye(2), [[0.0, 1e308], [-1e308, 0.0]]))
+        factors = {"u": u, "sigma": matrix_to_obj(m), "v": u}
+        doc = {"kind": "t-svd", "rows": 2, "cols": 2, "outcome": "ok", "factors": factors}
+        out = tmp_path / "r.json"
+        out.write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
+        assert "reconstruction: residual=nan" in capsys.readouterr().out
+
     def test_pinv_nonexistent_check(self, tmp_path):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))
         out = str(tmp_path / "r.json")

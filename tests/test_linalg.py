@@ -72,6 +72,17 @@ class TestMatrixOps:
         assert (adjoint(m, FLAVOR_T) - m.T).norm() == 0.0
         assert (adjoint(m, FLAVOR_STAR) - m.star()).norm() == 0.0
 
+    @pytest.mark.parametrize("part", ["std", "inf"])
+    @pytest.mark.parametrize("std_max", [4.0, 0.25])
+    def test_norm_propagates_nan(self, part, std_max):
+        # Python's max(x, nan) is x: the NaN must win whichever part holds it
+        # and whichever part's finite entries are larger.
+        std = np.array([[std_max, 0.0], [0.0, 0.1]])
+        inf = np.array([[1.0, 0.0], [0.0, 0.1]])
+        (std if part == "std" else inf)[1, 1] = np.nan
+        assert np.isnan(DualMatrix(std, inf).norm())
+        assert np.isnan(DualVector(std.ravel(), inf.ravel()).norm())
+
 
 class TestForms:
     def test_t_form_values(self):

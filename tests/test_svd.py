@@ -196,6 +196,19 @@ class TestGeneralSvd:
         r = svd(DualMatrix(np.zeros((0, 0))), FLAVOR_T)
         assert r.diag == []
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_residual_is_read_off_the_input(self, rng, flavor, scale, rank):
+        """``residual`` is ||U Sigma V^adj - M|| for the M that was passed,
+        with (rank 2) and without (rank 4) a zero cluster."""
+        a = rng.standard_normal((4, rank)) @ rng.standard_normal((rank, 4))
+        m = DualMatrix(scale * a, scale * rng.standard_normal((4, 4)))
+        r = svd(m, flavor)
+        assert sum(b.size for b in r.blocks if b.sigma) == rank
+        assert r.residual == (r.reconstruct() - m).norm()
+        assert r.residual <= 1e-9 * m.norm()
+
 
 def squared_multiset(r):
     """Eigenvalue multiset of Sigma^adj Sigma: a block sigma + eps*sigma'
