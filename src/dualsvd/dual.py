@@ -70,7 +70,9 @@ class Dual:
         return self.std != 0.0
 
     def abs_max(self) -> float:
-        return max(abs(self.std), abs(self.inf))
+        """max(|std|, |inf|); NaN if either part is NaN."""
+        a, b = abs(self.std), abs(self.inf)
+        return a if a >= b or math.isnan(a) else b
 
     def __repr__(self) -> str:
         return f"{self.std}{self.inf:+}ε"

@@ -1,4 +1,6 @@
-"""Vectors and matrices over the dual numbers, bilinear forms and Gram-Schmidt.
+"""Vectors and matrices over the dual numbers, bilinear forms, and
+Gram-Schmidt as a dual QR: one LAPACK QR of the standard parts plus its
+first-order correction.
 
 A dual matrix A + eps*B is stored as the pair of real ndarrays (std, inf).
 Two flavors of geometry run through the whole library:
@@ -15,6 +17,7 @@ import numpy as np
 
 from .dual import Dual
 from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput, NotSquare
+from .realspec import signed_qr
 
 FLAVOR_T = "T"
 FLAVOR_STAR = "star"
@@ -24,7 +27,7 @@ ISOMETRY = {FLAVOR_T: "t_orthogonal", FLAVOR_STAR: "unitary"}
 SELF_ADJOINT = {FLAVOR_T: "symmetric", FLAVOR_STAR: "hermitian"}
 _KIND_FLAVOR = {kind: f for table in (ISOMETRY, SELF_ADJOINT) for f, kind in table.items()}
 
-# Relative threshold below which a Gram-Schmidt residual counts as dependent.
+# Relative threshold below which a diagonal entry of R0 counts as dependent.
 INDEPENDENCE_TOL = 1e-10
 
 
@@ -308,74 +311,61 @@ def structure_check(m: DualMatrix, kind: str, tol: float) -> bool:
     return structure_residual(m, kind) <= tol * max(1.0, m.norm())
 
 
-# -- Gram-Schmidt -----------------------------------------------------------
+# -- Gram-Schmidt by dual QR --------------------------------------------------
 
 
-def _normalize(v: DualVector, flavor: str) -> DualVector:
-    if flavor == FLAVOR_STAR:
-        # <v, v> = ||st(v)||**2 exactly, so dividing by |st(v)| is a unit vector.
-        return v.scale(1.0 / float(np.linalg.norm(v.std)))
-    # For T the self-form is dual-valued; divide by its dual square root.
-    return v.scale(t_form(v, v).sqrt().inv())
+def _columns(vectors, n: int) -> DualMatrix:
+    """Dual vectors in D^n as the columns of a matrix; DimensionMismatch or
+    NonFiniteInput if one has another length or a NaN or inf entry."""
+    if any(len(v) != n for v in vectors):
+        raise DimensionMismatch(f"vectors of lengths {[len(v) for v in vectors]} in D^{n}")
+    m = DualMatrix.from_columns(vectors, n)
+    if not math.isfinite(m.norm()):
+        raise NonFiniteInput("vector has a NaN or infinite entry")
+    return m
 
 
-def _project_out(v: DualVector, basis, flavor: str) -> DualVector:
-    # Coefficient form(v, e_i) makes the residual exactly orthogonal to each
-    # e_i under the first-argument-linear form.
-    r = v
-    for e in basis:
-        r = r - e.scale(form(r, e, flavor))
-    return r
+def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: str, floor: float):
+    """Q with A = Q R, Q orthonormal under the form, R upper triangular with
+    diag(R0) > 0 and (star) diag(R) real.  With A0 = Q0 R0, C = Q0^T A1 R0^-1
+    and L its strict lower triangle, Q1 = Q0 X + (I - Q0 Q0^T) A1 R0^-1, where
+    X = L - L^T (T) or L + L^T + diag(C) (star).  DegenerateInput if there
+    are more columns than rows or an entry of diag(R0) is below ``floor``."""
+    q0, r0 = signed_qr(a0)
+    if r0.shape[0] < r0.shape[1] or not np.diag(r0).min() >= floor:
+        raise DegenerateInput("inputs are linearly dependent: diag(R0) vanished")
+    a1r = np.linalg.solve(r0.T, a1.T).T  # A1 R0^-1
+    c = q0.T @ a1r
+    low = np.tril(c, -1)
+    x = low - low.T if flavor == FLAVOR_T else low + low.T + np.diag(np.diag(c))
+    return DualMatrix._of(q0, q0 @ (x - c) + a1r)
 
 
 def gram_schmidt(vectors, flavor: str):
-    """Orthonormalize dual vectors under the chosen form.
-
-    Raises DegenerateInput when a residual's standard part collapses, which
-    certifies that the inputs were not linearly independent over the duals.
+    """Orthonormalize dual vectors under the chosen form, as Gram-Schmidt
+    does, by one dual QR.  Raises DegenerateInput when a diagonal entry of R0
+    collapses: the inputs are then not linearly independent over the duals.
     """
     _check_flavor(flavor)
     vectors = list(vectors)
     if not vectors:
         return []
-    scale = max(max(v.norm() for v in vectors), 1.0)
-    out = []
-    for v in vectors:
-        r = _project_out(v, out, flavor)
-        r = _project_out(r, out, flavor)  # reorthogonalization pass
-        if float(np.linalg.norm(r.std)) < INDEPENDENCE_TOL * scale:
-            raise DegenerateInput(
-                "residual standard part vanished: inputs are linearly dependent"
-            )
-        out.append(_normalize(r, flavor))
-    return out
+    a = _columns(vectors, len(vectors[0]))
+    return _dual_qr(a.std, a.inf, flavor, INDEPENDENCE_TOL * max(a.norm(), 1.0)).columns()
 
 
 def extend_orthonormal(partial, n: int, flavor: str):
-    """Extend an orthonormal set to a full orthonormal basis of D^n.
-
-    Candidate standard basis vectors are orthogonalized in turn; the ones that
-    are dependent on the running set are skipped.
-    """
+    """Extend an orthonormal set P, kept as it is, to an orthonormal basis of
+    D^n.  The new columns are W0 + eps*W1: W0 the trailing columns of a
+    complete ``signed_qr`` of P0, and W1 = -P0 (P1^T W0) for T, +P0 (P1^T W0)
+    for star, so that they are orthonormal and orthogonal to P."""
     _check_flavor(flavor)
     partial = list(partial)
     if len(partial) > n:
         raise DimensionMismatch(f"partial basis of {len(partial)} vectors in D^{n}")
-    if partial:
-        stds = np.column_stack([v.std for v in partial])
-        smin = np.linalg.svd(stds, compute_uv=False).min() if stds.size else 0.0
-        if smin < INDEPENDENCE_TOL:
-            raise DegenerateInput("partial basis standard parts are dependent")
-    out = list(partial)
-    for j in range(n):
-        if len(out) == n:
-            break
-        v = DualVector.basis(n, j)
-        r = _project_out(v, out, flavor)
-        r = _project_out(r, out, flavor)
-        if float(np.linalg.norm(r.std)) < INDEPENDENCE_TOL:
-            continue
-        out.append(_normalize(r, flavor))
-    if len(out) != n:
-        raise DegenerateInput("could not complete an orthonormal basis")
-    return out
+    p = _columns(partial, n)
+    if partial and np.linalg.svd(p.std, compute_uv=False).min() < INDEPENDENCE_TOL:
+        raise DegenerateInput("partial basis standard parts are dependent")
+    w0 = signed_qr(p.std, mode="complete")[0][:, len(partial) :]
+    w1 = p.std @ (p.inf.T @ w0)
+    return partial + DualMatrix._of(w0, -w1 if flavor == FLAVOR_T else w1).columns()

@@ -8,6 +8,7 @@ real pair (v, w) spans a 2x2 rotation block, with no squaring into -A^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +60,25 @@ def _positive_signs(q: np.ndarray) -> np.ndarray:
     return q * np.where(_first_sizeable(q) < 0, -1.0, 1.0)
 
 
+def signed_qr(a: np.ndarray, mode: str = "reduced"):
+    """a = q r with diag(r) >= 0, for an n x k matrix a.  In complete mode,
+    q's columns past the k-th (a basis of the complement of a's column
+    space) are signed by ``_positive_signs``, so the completion is canonical."""
+    q, r = np.linalg.qr(a, mode=mode)
+    k = a.shape[1]
+    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+    q[:, :k] *= signs
+    r[:k] *= signs[:, None]
+    q[:, k:] = _positive_signs(q[:, k:])
+    return q, r
+
+
 def sym_eig(a, tol: float = 1e-9) -> RealSpectral:
     """Orthogonally diagonalize a real symmetric matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is not square: {a.shape}")
-    if _maxabs(a - a.T) > tol * max(1.0, _maxabs(a)):
+    if not _maxabs(a - a.T) <= tol * max(1.0, _maxabs(a)) < math.inf:  # NaN, inf fail
         raise NotSymmetric("matrix is not symmetric within tolerance")
     eigenvalues, q = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-eigenvalues, kind="stable")
@@ -78,7 +92,7 @@ def skew_block_diag(a, tol: float = 1e-9) -> SkewBlockForm:
     if a.shape[0] != a.shape[1]:
         raise NotSkewSymmetric(f"matrix is not square: {a.shape}")
     scale = max(1.0, _maxabs(a))
-    if _maxabs(a + a.T) > tol * scale:
+    if not _maxabs(a + a.T) <= tol * scale < math.inf:  # NaN, inf fail
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
 
     mus, z = np.linalg.eigh(0.5j * (a - a.T))
@@ -91,7 +105,5 @@ def skew_block_diag(a, tol: float = 1e-9) -> SkewBlockForm:
     pairs = np.stack([z.real, z.imag], axis=2).reshape(n, 2 * p)
     # One QR makes the pairs exactly orthonormal (they are so to ~eps/mu)
     # and completes them with a basis of the kernel.
-    q, r = np.linalg.qr(pairs, mode="complete")
-    q[:, : 2 * p] *= np.where(np.diag(r) < 0, -1.0, 1.0)
-    q[:, 2 * p :] = _positive_signs(q[:, 2 * p :])
+    q = signed_qr(pairs, mode="complete")[0]
     return SkewBlockForm(q, [float(mu) for mu in mus], n - 2 * p)

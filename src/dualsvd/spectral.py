@@ -23,10 +23,8 @@ from .errors import NotHermitian, NotSymmetric
 from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
-    ISOMETRY,
     SELF_ADJOINT,
     DualMatrix,
-    gram_schmidt,
     require_square,
     structure_residual,
     unit_scale,
@@ -180,10 +178,7 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     # B~_ab = Omega_ab (d_b - d_a).
     omega = np.zeros((n, n))
     np.divide(bt, np.subtract.outer(d, d).T, out=omega, where=gid[:, None] != gid[None, :])
-    v = DualMatrix._of(q0, q0 @ omega)
-    if structure_residual(v, ISOMETRY[flavor]) > 1e-11 * max(1.0, v.norm()):
-        v = DualMatrix.from_columns(gram_schmidt(v.columns(), flavor), rows=n)
-    return SpectralDecomposition(v, flavor, blocks)
+    return SpectralDecomposition(DualMatrix._of(q0, q0 @ omega), flavor, blocks)
 
 
 def star_spectral(

@@ -131,3 +131,9 @@ def test_repr_and_helpers():
     assert not EPS.is_appreciable()
     assert x.abs_max() == 2.0
     assert math.isclose((x / Dual(0.5)).std, 3.0)
+
+
+@pytest.mark.parametrize("x", [Dual(1.0, math.nan), Dual(math.nan, 1.0)])
+def test_abs_max_propagates_nan(x):
+    # Python's max(1.0, nan) is 1.0: the NaN must win in either part.
+    assert math.isnan(x.abs_max())

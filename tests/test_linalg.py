@@ -12,6 +12,7 @@ from dualsvd import (
     Dual,
     DualMatrix,
     DualVector,
+    NonFiniteInput,
     adjoint,
     extend_orthonormal,
     form,
@@ -200,6 +201,37 @@ class TestGramSchmidt:
     def test_empty_input(self):
         assert gram_schmidt([], FLAVOR_T) == []
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_output_is_the_unique_dual_qr(self, rng, flavor):
+        # With R_ij = form(v_j, q_i), the inputs are V = Q R.  Gram = I, R
+        # upper triangular with std(R_jj) > 0, and (star) inf(R_jj) = 0 fix
+        # Q uniquely, whatever algorithm computes it.
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                vs = random_vectors(rng, n, k)
+                out = gram_schmidt(vs, flavor)
+                r = [[form(v, q, flavor) for v in vs] for q in out]
+                for i in range(k):
+                    for j in range(k):
+                        g = form(out[j], out[i], flavor) - Dual(float(i == j))
+                        assert g.abs_max() < 1e-10
+                    for j in range(i):
+                        assert r[i][j].abs_max() < 1e-10
+                    assert r[i][i].std > 0
+                    if flavor == FLAVOR_STAR:
+                        assert abs(r[i][i].inf) < 1e-10 * max(1.0, r[i][i].std)
+
+    def test_non_finite_input_raises(self):
+        # np.linalg.qr passes NaN through silently.
+        with pytest.raises(NonFiniteInput):
+            gram_schmidt([DualVector([1, 0], [np.nan, 0])], FLAVOR_T)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            gram_schmidt([DualVector([1.0, 0.0]), DualVector([0.0, 1.0, 0.0])], FLAVOR_T)
+        with pytest.raises(DimensionMismatch):
+            extend_orthonormal([DualVector([1.0, 0.0, 0.0])], 2, FLAVOR_T)
+
 
 class TestExtend:
     def test_canonical_completion(self):
@@ -222,14 +254,26 @@ class TestExtend:
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_partial_preserved_and_complete(self, rng, flavor):
-        vs = gram_schmidt(random_vectors(rng, 5, 2), flavor)
-        out = extend_orthonormal(vs, 5, flavor)
-        assert len(out) == 5
-        for a, b in zip(vs, out):
-            assert (a - b).norm() == 0.0
-        m = DualMatrix.from_columns(out, rows=5)
         kind = "t_orthogonal" if flavor == FLAVOR_T else "unitary"
-        assert structure_residual(m, kind) < 1e-10
+        for n in range(1, 9):
+            for k in range(n + 1):
+                vs = gram_schmidt(random_vectors(rng, n, k), flavor)
+                out = extend_orthonormal(vs, n, flavor)
+                assert len(out) == n
+                for a, b in zip(vs, out):
+                    assert (a - b).norm() == 0.0
+                m = DualMatrix.from_columns(out, rows=n)
+                assert structure_residual(m, kind) < 1e-10
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_empty_partial_gives_identity(self, flavor):
+        out = extend_orthonormal([], 4, flavor)
+        m = DualMatrix.from_columns(out, rows=4)
+        assert (m - DualMatrix.identity(4)).norm() == 0.0
+
+    def test_non_finite_partial_raises(self):
+        with pytest.raises(NonFiniteInput):
+            extend_orthonormal([DualVector([1, 0], [np.nan, 0])], 2, FLAVOR_T)
 
     def test_dependent_partial_raises(self, rng):
         v = DualVector(rng.standard_normal(4))

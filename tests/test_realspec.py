@@ -55,6 +55,15 @@ class TestSymEig:
         with pytest.raises(NotSymmetric):
             sym_eig(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "a", [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.inf], [-np.inf, 0.0]]]
+    )
+    def test_rejects_non_finite(self, a):
+        # A NaN defect compares False with any limit, and an antisymmetric
+        # inf pair has defect inf <= inf: neither may pass.
+        with pytest.raises(NotSymmetric):
+            sym_eig(np.array(a))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_charpoly_oracle(self, rng, n):
         for _ in range(20):
@@ -124,6 +133,15 @@ class TestSkewBlockDiag:
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetric):
             skew_block_diag(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "a", [[[0.0, np.inf], [-np.inf, 0.0]], [[0.0, np.inf], [np.inf, 0.0]]]
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_non_finite(self, a):
+        # inf + (-inf) is NaN, and a NaN defect must fail the test.
+        with pytest.raises(NotSkewSymmetric):
+            skew_block_diag(np.array(a))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8])
     def test_random_reconstruction(self, rng, n):
