@@ -30,13 +30,11 @@ from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
     DualMatrix,
-    DualVector,
     adjoint,
     extend_orthonormal,
     form,
     gram_schmidt,
     star_form,
-    structure_check,
     structure_residual,
     t_form,
 )
@@ -65,8 +63,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual", "poly_eval", "EPS", "ONE", "ZERO",
-    "DualVector", "DualMatrix", "adjoint", "form", "t_form", "star_form",
-    "structure_check", "structure_residual", "gram_schmidt",
+    "DualMatrix", "adjoint", "form", "t_form", "star_form",
+    "structure_residual", "gram_schmidt",
     "extend_orthonormal", "FLAVOR_T", "FLAVOR_STAR",
     "RealSpectral", "SkewBlockForm", "sym_eig", "skew_block_diag",
     "SpectralBlock", "SpectralDecomposition", "star_spectral", "t_spectral",

@@ -40,10 +40,7 @@ def loads(text: str):
 
 def matrix_to_obj(m: DualMatrix) -> dict:
     rows, cols = m.shape
-    entries = []
-    for i in range(rows):
-        for j in range(cols):
-            entries.append([float(m.std[i, j]), float(m.inf[i, j])])
+    entries = np.stack([m.std, m.inf], -1).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "entries": entries}
 
 

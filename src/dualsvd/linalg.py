@@ -1,8 +1,9 @@
-"""Vectors and matrices over the dual numbers, bilinear forms, and
-Gram-Schmidt as a dual QR: one LAPACK QR of the standard parts plus its
-first-order correction.
+"""Matrices over the dual numbers, bilinear forms, and Gram-Schmidt as a
+dual QR: one LAPACK QR of the standard parts plus its first-order correction.
 
 A dual matrix A + eps*B is stored as the pair of real ndarrays (std, inf).
+It is the one representation of dual arrays: a dual vector is an n x 1
+matrix, and a set of k vectors is the n x k matrix of their columns.
 Two flavors of geometry run through the whole library:
 
 * flavor "T": the symmetric bilinear form (u, v) = u^T v,
@@ -29,6 +30,8 @@ _KIND_FLAVOR = {kind: f for table in (ISOMETRY, SELF_ADJOINT) for f, kind in tab
 
 # Relative threshold below which a diagonal entry of R0 counts as dependent.
 INDEPENDENCE_TOL = 1e-10
+# Largest ||P^adj P - I|| of an orthonormal set: the CLI check's isometry limit.
+ORTHONORMAL_TOL = 1e-8
 
 
 def _check_flavor(flavor):
@@ -39,63 +42,6 @@ def _check_flavor(flavor):
 def require_square(m, what: str):
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"{what} needs a square matrix, got {m.shape}")
-
-
-class DualVector:
-    """A vector of dual numbers, stored as standard/infinitesimal real parts."""
-
-    __slots__ = ("std", "inf")
-
-    def __init__(self, std, inf=None):
-        self.std = np.asarray(std, dtype=float).reshape(-1)
-        if inf is None:
-            self.inf = np.zeros_like(self.std)
-        else:
-            self.inf = np.asarray(inf, dtype=float).reshape(-1)
-        if self.std.shape != self.inf.shape:
-            raise DimensionMismatch("std and inf parts differ in length")
-
-    def __len__(self):
-        return self.std.shape[0]
-
-    @classmethod
-    def basis(cls, n: int, j: int) -> "DualVector":
-        e = np.zeros(n)
-        e[j] = 1.0
-        return cls(e)
-
-    def entry(self, i: int) -> Dual:
-        return Dual(self.std[i], self.inf[i])
-
-    def __add__(self, other: "DualVector") -> "DualVector":
-        return DualVector(self.std + other.std, self.inf + other.inf)
-
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        return DualVector(self.std - other.std, self.inf - other.inf)
-
-    def __neg__(self) -> "DualVector":
-        return DualVector(-self.std, -self.inf)
-
-    def scale(self, s) -> "DualVector":
-        s = s if isinstance(s, Dual) else Dual(float(s))
-        return DualVector(
-            s.std * self.std, s.std * self.inf + s.inf * self.std
-        )
-
-    def conj(self) -> "DualVector":
-        return DualVector(self.std, -self.inf)
-
-    def norm(self) -> float:
-        """Entrywise max-abs over both components; NaN if either holds one."""
-        if len(self) == 0:
-            return 0.0
-        return np.maximum(np.abs(self.std).max(), np.abs(self.inf).max())
-
-    def copy(self) -> "DualVector":
-        return DualVector(self.std.copy(), self.inf.copy())
-
-    def __repr__(self):
-        return f"DualVector(std={self.std!r}, inf={self.inf!r})"
 
 
 class DualMatrix:
@@ -130,14 +76,6 @@ class DualMatrix:
         return cls._of(np.zeros((rows, cols)), np.zeros((rows, cols)))
 
     @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "DualMatrix":
-        if not columns:
-            return cls(np.zeros((rows or 0, 0)))
-        std = np.column_stack([v.std for v in columns])
-        inf = np.column_stack([v.inf for v in columns])
-        return cls(std, inf)
-
-    @classmethod
     def diagonal(cls, entries) -> "DualMatrix":
         entries = list(entries)
         return cls(
@@ -167,12 +105,6 @@ class DualMatrix:
 
     def entry(self, i: int, j: int) -> Dual:
         return Dual(self.std[i, j], self.inf[i, j])
-
-    def column(self, j: int) -> DualVector:
-        return DualVector(self.std[:, j], self.inf[:, j])
-
-    def columns(self):
-        return [self.column(j) for j in range(self.shape[1])]
 
     def submatrix(self, rows, cols) -> "DualMatrix":
         return DualMatrix(self.std[np.ix_(rows, cols)], self.inf[np.ix_(rows, cols)])
@@ -218,13 +150,6 @@ class DualMatrix:
         """M* = conj(M)^T."""
         return DualMatrix._of(self.std.T, -self.inf.T)
 
-    def apply(self, v: DualVector) -> DualVector:
-        if self.shape[1] != len(v):
-            raise DimensionMismatch(f"apply: {self.shape} vs {len(v)}")
-        return DualVector(
-            self.std @ v.std, self.std @ v.inf + self.inf @ v.std
-        )
-
     # -- norms -------------------------------------------------------------
 
     def norm(self) -> float:
@@ -238,6 +163,14 @@ class DualMatrix:
         return f"DualMatrix(std=\n{self.std},\ninf=\n{self.inf})"
 
 
+def _finite_norm(m: DualMatrix) -> float:
+    """||M||; NonFiniteInput if M has a NaN or infinite entry."""
+    nrm = float(m.norm())
+    if not math.isfinite(nrm):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    return nrm
+
+
 def unit_scale(m: DualMatrix):
     """(M / c, c, ||M / c||) for the power of two c with ||M / c|| in [1, 2);
     (M, 1, 0) for the zero matrix.
@@ -245,9 +178,7 @@ def unit_scale(m: DualMatrix):
     Dividing by c is exact, so an entry point that decomposes M / c and
     scales its results back by c is scale-equivariant for powers of two.
     """
-    nrm = float(m.norm())
-    if not math.isfinite(nrm):
-        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    nrm = _finite_norm(m)
     if not nrm:
         return m, 1.0, 0.0
     c = math.ldexp(1.0, math.frexp(nrm)[1] - 1)
@@ -265,25 +196,19 @@ def adjoint(m: DualMatrix, flavor: str) -> DualMatrix:
 # -- forms ------------------------------------------------------------------
 
 
-def t_form(u: DualVector, v: DualVector) -> Dual:
-    """The symmetric bilinear form (u, v) = u^T v."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"t_form: {len(u)} vs {len(v)}")
-    std = float(u.std @ v.std)
-    inf = float(u.std @ v.inf + u.inf @ v.std)
-    return Dual(std, inf)
+def t_form(u: DualMatrix, v: DualMatrix) -> DualMatrix:
+    """The symmetric bilinear form (u, v) = u^T v between the columns of u
+    and of v: the k x l matrix of pairwise values, the Gram matrix if u = v."""
+    return u.T @ v
 
 
-def star_form(u: DualVector, v: DualVector) -> Dual:
-    """The sesquilinear form <u, v> = u^T conj(v)."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"star_form: {len(u)} vs {len(v)}")
-    std = float(u.std @ v.std)
-    inf = float(-u.std @ v.inf + u.inf @ v.std)
-    return Dual(std, inf)
+def star_form(u: DualMatrix, v: DualMatrix) -> DualMatrix:
+    """The sesquilinear form <u, v> = u^T conj(v) between the columns of u
+    and of v, as ``t_form``."""
+    return u.T @ v.conj()
 
 
-def form(u: DualVector, v: DualVector, flavor: str) -> Dual:
+def form(u: DualMatrix, v: DualMatrix, flavor: str) -> DualMatrix:
     _check_flavor(flavor)
     return t_form(u, v) if flavor == FLAVOR_T else star_form(u, v)
 
@@ -296,33 +221,23 @@ def structure_residual(m: DualMatrix, kind: str) -> float:
     require_square(m, "structure check")
     if kind not in _KIND_FLAVOR:
         raise ValueError(f"unknown structure kind {kind!r}")
-    adj = adjoint(m, _KIND_FLAVOR[kind])
+    flavor = _KIND_FLAVOR[kind]
+    adj = adjoint(m, flavor)
     if kind in SELF_ADJOINT.values():
         return (m - adj).norm()
-    n = m.shape[0]
-    g, h = adj @ m, m @ adj
-    # Both products are fresh, so I comes off their diagonals in place.
-    g.std.flat[:: n + 1] -= 1.0
-    h.std.flat[:: n + 1] -= 1.0
-    return np.maximum(g.norm(), h.norm())
+    # M^adj M and M M^adj = (M^adj)^adj M^adj.
+    return np.maximum(_gram_defect(m, flavor), _gram_defect(adj, flavor))
 
 
-def structure_check(m: DualMatrix, kind: str, tol: float) -> bool:
-    return structure_residual(m, kind) <= tol * max(1.0, m.norm())
+def _gram_defect(p: DualMatrix, flavor: str) -> float:
+    """||P^adj P - I||: how far the columns of P are from orthonormal."""
+    g = adjoint(p, flavor) @ p
+    # The product is fresh, so I comes off its diagonal in place.
+    g.std.flat[:: p.shape[1] + 1] -= 1.0
+    return g.norm()
 
 
 # -- Gram-Schmidt by dual QR --------------------------------------------------
-
-
-def _columns(vectors, n: int) -> DualMatrix:
-    """Dual vectors in D^n as the columns of a matrix; DimensionMismatch or
-    NonFiniteInput if one has another length or a NaN or inf entry."""
-    if any(len(v) != n for v in vectors):
-        raise DimensionMismatch(f"vectors of lengths {[len(v) for v in vectors]} in D^{n}")
-    m = DualMatrix.from_columns(vectors, n)
-    if not math.isfinite(m.norm()):
-        raise NonFiniteInput("vector has a NaN or infinite entry")
-    return m
 
 
 def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: str, floor: float):
@@ -341,31 +256,30 @@ def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: str, floor: float):
     return DualMatrix._of(q0, q0 @ (x - c) + a1r)
 
 
-def gram_schmidt(vectors, flavor: str):
-    """Orthonormalize dual vectors under the chosen form, as Gram-Schmidt
-    does, by one dual QR.  Raises DegenerateInput when a diagonal entry of R0
-    collapses: the inputs are then not linearly independent over the duals.
+def gram_schmidt(a: DualMatrix, flavor: str) -> DualMatrix:
+    """Orthonormalize the columns of ``a`` under the chosen form, as
+    Gram-Schmidt does, by one dual QR.  Raises DegenerateInput when a
+    diagonal entry of R0 collapses: the columns are then not linearly
+    independent over the duals.
     """
     _check_flavor(flavor)
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    a = _columns(vectors, len(vectors[0]))
-    return _dual_qr(a.std, a.inf, flavor, INDEPENDENCE_TOL * max(a.norm(), 1.0)).columns()
+    nrm = _finite_norm(a)
+    if not a.shape[1]:
+        return a.copy()
+    return _dual_qr(a.std, a.inf, flavor, INDEPENDENCE_TOL * max(nrm, 1.0))
 
 
-def extend_orthonormal(partial, n: int, flavor: str):
-    """Extend an orthonormal set P, kept as it is, to an orthonormal basis of
-    D^n.  The new columns are W0 + eps*W1: W0 the trailing columns of a
-    complete ``signed_qr`` of P0, and W1 = -P0 (P1^T W0) for T, +P0 (P1^T W0)
-    for star, so that they are orthonormal and orthogonal to P."""
+def extend_orthonormal(p: DualMatrix, flavor: str) -> DualMatrix:
+    """Extend the orthonormal columns of the n x k matrix P, kept as they
+    are, to an n x n isometry; DegenerateInput if ||P^adj P - I|| exceeds
+    ``ORTHONORMAL_TOL``.  The new columns are W0 + eps*W1: W0 the trailing
+    columns of a complete ``signed_qr`` of P0, and W1 = -P0 (P1^T W0) for T,
+    +P0 (P1^T W0) for star, so that they are orthonormal and orthogonal to P."""
     _check_flavor(flavor)
-    partial = list(partial)
-    if len(partial) > n:
-        raise DimensionMismatch(f"partial basis of {len(partial)} vectors in D^{n}")
-    p = _columns(partial, n)
-    if partial and np.linalg.svd(p.std, compute_uv=False).min() < INDEPENDENCE_TOL:
-        raise DegenerateInput("partial basis standard parts are dependent")
-    w0 = signed_qr(p.std, mode="complete")[0][:, len(partial) :]
+    _finite_norm(p)
+    if not _gram_defect(p, flavor) <= ORTHONORMAL_TOL:
+        raise DegenerateInput("partial basis is not orthonormal under the form")
+    w0 = signed_qr(p.std, mode="complete")[0][:, p.shape[1] :]
     w1 = p.std @ (p.inf.T @ w0)
-    return partial + DualMatrix._of(w0, -w1 if flavor == FLAVOR_T else w1).columns()
+    w1 = -w1 if flavor == FLAVOR_T else w1
+    return DualMatrix._of(np.hstack([p.std, w0]), np.hstack([p.inf, w1]))

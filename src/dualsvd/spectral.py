@@ -80,15 +80,8 @@ class SpectralDecomposition:
     blocks: list
 
     @property
-    def n(self) -> int:
-        return self.v.shape[0]
-
-    @property
     def diag(self) -> list | None:
         return dual_diagonal(self.flavor, self.blocks)
-
-    def all_blocks(self) -> list:
-        return self.blocks
 
     def sigma_matrix(self) -> DualMatrix:
         """Assemble the canonical middle factor."""

@@ -62,12 +62,12 @@ class SvdResult:
 
 @dataclass
 class SubspaceSplit:
-    """Orthonormal basis of right singular vectors, split by whether the
-    operator sends the vector to an appreciable (vl) or infinitesimal (vr)
-    image."""
+    """The right singular vectors, split by whether the operator sends the
+    vector to an appreciable (vl) or infinitesimal (vr) image: the n x k and
+    n x (n - k) column blocks of the SVD's V."""
 
-    vl_basis: list
-    vr_basis: list
+    vl_basis: DualMatrix
+    vr_basis: DualMatrix
 
 
 @dataclass
@@ -134,8 +134,10 @@ def split_subspaces(m: DualMatrix, flavor: str) -> SubspaceSplit:
     k columns of the SVD's V, for the k appreciable singular values, and the
     rest."""
     r, k = _svd(m, flavor, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
-    cols = r.v.columns()
-    return SubspaceSplit(cols[:k], cols[k:])
+    v = r.v
+    return SubspaceSplit(
+        DualMatrix._of(v.std[:, :k], v.inf[:, :k]), DualMatrix._of(v.std[:, k:], v.inf[:, k:])
+    )
 
 
 def svd(

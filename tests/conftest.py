@@ -6,7 +6,7 @@ All randomness is seeded per test so failures reproduce exactly.
 import numpy as np
 import pytest
 
-from dualsvd import Dual, DualMatrix, DualVector, FLAVOR_T
+from dualsvd import DualMatrix, FLAVOR_T
 
 
 def random_dual_matrix(rng, n, regime="generic"):
@@ -80,10 +80,10 @@ def random_isometry(rng, n, flavor):
 
 
 def random_vectors(rng, n, k):
-    return [
-        DualVector(rng.standard_normal(n), rng.standard_normal(n))
-        for _ in range(k)
-    ]
+    """k random dual vectors in D^n, as the columns of an n x k matrix; each
+    vector draws its standard part, then its infinitesimal part."""
+    parts = rng.standard_normal((k, 2, n))
+    return DualMatrix(parts[:, 0].T, parts[:, 1].T)
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
-"""Dual vectors and matrices, the two forms, structure checks and
-Gram-Schmidt."""
+"""Dual matrices, the two forms, structure checks and Gram-Schmidt.  A set
+of k dual vectors in D^n is the n x k matrix of their columns."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,12 @@ from dualsvd import (
     DimensionMismatch,
     Dual,
     DualMatrix,
-    DualVector,
     NonFiniteInput,
     adjoint,
     extend_orthonormal,
     form,
     gram_schmidt,
     star_form,
-    structure_check,
     structure_residual,
     t_form,
 )
@@ -82,43 +80,66 @@ class TestMatrixOps:
         inf = np.array([[1.0, 0.0], [0.0, 0.1]])
         (std if part == "std" else inf)[1, 1] = np.nan
         assert np.isnan(DualMatrix(std, inf).norm())
-        assert np.isnan(DualVector(std.ravel(), inf.ravel()).norm())
+
+
+def vec(std, inf=None):
+    """A dual vector as an n x 1 matrix."""
+    std = np.asarray(std, dtype=float)[:, None]
+    return DualMatrix(std, None if inf is None else np.asarray(inf, dtype=float)[:, None])
+
+
+def with_column(a, std, inf):
+    """``a`` with one more column appended."""
+    return DualMatrix(np.column_stack([a.std, std]), np.column_stack([a.inf, inf]))
 
 
 class TestForms:
     def test_t_form_values(self):
-        u = DualVector([1, 0], [1, 0])
+        u = vec([1, 0], [1, 0])
         # (1+e)^2 = 1+2e
-        assert t_form(u, u) == Dual(1, 2)
-        assert t_form(DualVector.basis(2, 0), DualVector.basis(2, 1)) == Dual(0)
-        e = DualVector([0.0], [1.0])
-        assert t_form(e, e) == Dual(0)
+        assert t_form(u, u).entry(0, 0) == Dual(1, 2)
+        assert t_form(vec([1, 0]), vec([0, 1])).entry(0, 0) == Dual(0)
+        e = vec([0.0], [1.0])
+        assert t_form(e, e).entry(0, 0) == Dual(0)
 
     def test_star_form_values(self):
-        u = DualVector([1, 0], [1, 0])
+        u = vec([1, 0], [1, 0])
         # (1+e)(1-e) = 1
-        assert star_form(u, u) == Dual(1, 0)
-        e = DualVector([0.0], [1.0])
-        assert star_form(e, e) == Dual(0)
+        assert star_form(u, u).entry(0, 0) == Dual(1, 0)
+        e = vec([0.0], [1.0])
+        assert star_form(e, e).entry(0, 0) == Dual(0)
+
+    def test_pairwise_values(self, rng):
+        # Entry (i, j) of the k x l result is the form of column i of u with
+        # column j of v, as the per-vector formula gives it.
+        u, v = random_vectors(rng, 5, 3), random_vectors(rng, 5, 2)
+        for f, sign in ((FLAVOR_T, 1.0), (FLAVOR_STAR, -1.0)):
+            g = form(u, v, f)
+            assert g.shape == (3, 2)
+            for i in range(3):
+                for j in range(2):
+                    std = u.std[:, i] @ v.std[:, j]
+                    inf = sign * u.std[:, i] @ v.inf[:, j] + u.inf[:, i] @ v.std[:, j]
+                    assert (g.entry(i, j) - Dual(std, inf)).abs_max() < 1e-13
 
     def test_star_form_conjugate_symmetry(self, rng):
-        u, v = random_vectors(rng, 5, 2)
-        assert star_form(u, v).conj() == star_form(v, u)
+        u, v = random_vectors(rng, 5, 3), random_vectors(rng, 5, 2)
+        assert (star_form(u, v).star() - star_form(v, u)).norm() == 0.0
 
     def test_t_form_symmetry(self, rng):
-        u, v = random_vectors(rng, 5, 2)
-        assert t_form(u, v) == t_form(v, u)
+        u, v = random_vectors(rng, 5, 3), random_vectors(rng, 5, 2)
+        assert (t_form(u, v).T - t_form(v, u)).norm() == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            t_form(DualVector([1.0]), DualVector([1.0, 2.0]))
+            t_form(vec([1.0]), vec([1.0, 2.0]))
 
 
 class TestStructure:
     def test_identity_all_kinds(self):
         i = DualMatrix.identity(3)
         for kind in ("symmetric", "hermitian", "t_orthogonal", "unitary"):
-            assert structure_check(i, kind, 0.0)
+            assert structure_residual(i, kind) == 0.0
 
     def test_infinitesimal_rotation_is_hermitian(self):
         m = DualMatrix([[0, 0], [0, 0]], [[0, -1], [1, 0]])
@@ -128,7 +149,6 @@ class TestStructure:
     def test_shear_not_t_orthogonal(self):
         # M^T M = [[1, e], [e, 1]] != I
         m = DualMatrix([[1, 0], [0, 1]], [[0, 1], [0, 0]])
-        assert not structure_check(m, "t_orthogonal", 1e-8)
         assert structure_residual(m, "t_orthogonal") == pytest.approx(1.0)
 
     def test_exact_isometries(self, rng):
@@ -142,64 +162,57 @@ class TestStructure:
 
 class TestGramSchmidt:
     def test_classical_real_case(self):
-        out = gram_schmidt([DualVector([1, 0]), DualVector([1, 1])], FLAVOR_T)
-        assert np.allclose(out[0].std, [1, 0])
-        assert np.allclose(out[1].std, [0, 1])
+        out = gram_schmidt(DualMatrix([[1, 1], [0, 1]]), FLAVOR_T)
+        assert np.allclose(out.std, np.eye(2))
 
     def test_star_unit_vector_unchanged(self):
-        v = DualVector([1, 0], [1, 0])
-        out = gram_schmidt([v], FLAVOR_STAR)
+        v = vec([1, 0], [1, 0])
+        out = gram_schmidt(v, FLAVOR_STAR)
         # <v, v> = 1 exactly, so v is already a unit vector.
-        assert np.allclose(out[0].std, v.std)
-        assert np.allclose(out[0].inf, v.inf)
+        assert np.allclose(out.std, v.std)
+        assert np.allclose(out.inf, v.inf)
 
     def test_t_unit_normalization(self):
-        v = DualVector([1, 0], [1, 0])
-        out = gram_schmidt([v], FLAVOR_T)
+        out = gram_schmidt(vec([1, 0], [1, 0]), FLAVOR_T)
         # (v, v) = 1+2e, sqrt = 1+e, so v/(1+e) = (1, 0).
-        assert np.allclose(out[0].std, [1, 0])
-        assert np.allclose(out[0].inf, [0, 0])
+        assert np.allclose(out.std, [[1], [0]])
+        assert np.allclose(out.inf, [[0], [0]])
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_gram_matrix_is_identity(self, rng, flavor):
-        vs = random_vectors(rng, 6, 4)
-        out = gram_schmidt(vs, flavor)
-        for i, u in enumerate(out):
-            for j, v in enumerate(out):
-                g = form(u, v, flavor)
-                want = Dual(1.0 if i == j else 0.0)
-                assert (g - want).abs_max() < 1e-10
+        out = gram_schmidt(random_vectors(rng, 6, 4), flavor)
+        assert (form(out, out, flavor) - DualMatrix.identity(4)).norm() < 1e-10
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_span_is_preserved(self, rng, flavor):
         # The output standard parts must span the same real subspace: the
         # change-of-basis solve has to reproduce the inputs' standard parts.
         vs = random_vectors(rng, 6, 4)
-        out = gram_schmidt(vs, flavor)
-        b_in = np.column_stack([v.std for v in vs])
-        b_out = np.column_stack([v.std for v in out])
+        b_in, b_out = vs.std, gram_schmidt(vs, flavor).std
         coeff, *_ = np.linalg.lstsq(b_out, b_in, rcond=None)
         assert np.allclose(b_out @ coeff, b_in, atol=1e-9)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_dependent_inputs_raise(self, rng, flavor):
         vs = random_vectors(rng, 5, 3)
-        vs.append(vs[0].copy())
         with pytest.raises(DegenerateInput):
-            gram_schmidt(vs, flavor)
+            gram_schmidt(with_column(vs, vs.std[:, 0], vs.inf[:, 0]), flavor)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_eps_perturbed_dependent_raise(self, rng, flavor):
         # A dual-eps perturbation cannot rescue a dependent standard part.
         vs = random_vectors(rng, 5, 3)
-        dup = vs[2].copy()
-        dup.inf = dup.inf + rng.standard_normal(5)
-        vs.append(dup)
+        dup_inf = vs.inf[:, 2] + rng.standard_normal(5)
         with pytest.raises(DegenerateInput):
-            gram_schmidt(vs, flavor)
+            gram_schmidt(with_column(vs, vs.std[:, 2], dup_inf), flavor)
+
+    def test_more_vectors_than_dimensions_raise(self, rng):
+        with pytest.raises(DegenerateInput):
+            gram_schmidt(random_vectors(rng, 2, 3), FLAVOR_T)
 
     def test_empty_input(self):
-        assert gram_schmidt([], FLAVOR_T) == []
+        for flavor in FLAVORS:
+            assert gram_schmidt(DualMatrix.zeros(3, 0), flavor).shape == (3, 0)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_output_is_the_unique_dual_qr(self, rng, flavor):
@@ -210,47 +223,41 @@ class TestGramSchmidt:
             for k in range(1, n + 1):
                 vs = random_vectors(rng, n, k)
                 out = gram_schmidt(vs, flavor)
-                r = [[form(v, q, flavor) for v in vs] for q in out]
-                for i in range(k):
-                    for j in range(k):
-                        g = form(out[j], out[i], flavor) - Dual(float(i == j))
-                        assert g.abs_max() < 1e-10
-                    for j in range(i):
-                        assert r[i][j].abs_max() < 1e-10
-                    assert r[i][i].std > 0
-                    if flavor == FLAVOR_STAR:
-                        assert abs(r[i][i].inf) < 1e-10 * max(1.0, r[i][i].std)
+                g = form(out, out, flavor) - DualMatrix.identity(k)
+                assert g.norm() < 1e-10
+                r = form(vs, out, flavor).T
+                low = np.tril_indices(k, -1)
+                assert np.abs(r.std[low]).max(initial=0) < 1e-10
+                assert np.abs(r.inf[low]).max(initial=0) < 1e-10
+                r_std, r_inf = np.diag(r.std), np.diag(r.inf)
+                assert (r_std > 0).all()
+                if flavor == FLAVOR_STAR:
+                    assert (np.abs(r_inf) < 1e-10 * np.maximum(1.0, r_std)).all()
 
     def test_non_finite_input_raises(self):
         # np.linalg.qr passes NaN through silently.
         with pytest.raises(NonFiniteInput):
-            gram_schmidt([DualVector([1, 0], [np.nan, 0])], FLAVOR_T)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            gram_schmidt([DualVector([1.0, 0.0]), DualVector([0.0, 1.0, 0.0])], FLAVOR_T)
-        with pytest.raises(DimensionMismatch):
-            extend_orthonormal([DualVector([1.0, 0.0, 0.0])], 2, FLAVOR_T)
+            gram_schmidt(vec([1, 0], [np.nan, 0]), FLAVOR_T)
 
 
 class TestExtend:
     def test_canonical_completion(self):
         for flavor in FLAVORS:
-            out = extend_orthonormal([DualVector.basis(2, 0)], 2, flavor)
-            assert len(out) == 2
-            assert np.allclose(out[1].std, [0, 1])
+            out = extend_orthonormal(vec([1, 0]), flavor)
+            assert out.shape == (2, 2)
+            assert np.allclose(out.std[:, 1], [0, 1])
 
     def test_empty_partial(self):
-        out = extend_orthonormal([], 1, FLAVOR_T)
-        assert np.allclose(out[0].std, [1.0])
+        out = extend_orthonormal(DualMatrix.zeros(1, 0), FLAVOR_T)
+        assert np.allclose(out.std, [[1.0]])
 
     def test_star_extension_orthonormal(self):
-        first = gram_schmidt([DualVector([1, 0], [1, 0])], FLAVOR_STAR)[0]
-        out = extend_orthonormal([first], 2, FLAVOR_STAR)
-        assert len(out) == 2
-        w = out[1]
-        assert star_form(w, first).abs_max() < 1e-12
-        assert (star_form(w, w) - Dual(1)).abs_max() < 1e-12
+        first = gram_schmidt(vec([1, 0], [1, 0]), FLAVOR_STAR)
+        out = extend_orthonormal(first, FLAVOR_STAR)
+        assert out.shape == (2, 2)
+        w = out.submatrix([0, 1], [1])
+        assert star_form(w, first).norm() < 1e-12
+        assert (star_form(w, w) - DualMatrix.identity(1)).norm() < 1e-12
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_partial_preserved_and_complete(self, rng, flavor):
@@ -258,24 +265,37 @@ class TestExtend:
         for n in range(1, 9):
             for k in range(n + 1):
                 vs = gram_schmidt(random_vectors(rng, n, k), flavor)
-                out = extend_orthonormal(vs, n, flavor)
-                assert len(out) == n
-                for a, b in zip(vs, out):
-                    assert (a - b).norm() == 0.0
-                m = DualMatrix.from_columns(out, rows=n)
-                assert structure_residual(m, kind) < 1e-10
+                out = extend_orthonormal(vs, flavor)
+                assert out.shape == (n, n)
+                assert (out.submatrix(range(n), range(k)) - vs).norm() == 0.0
+                assert structure_residual(out, kind) < 1e-10
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_empty_partial_gives_identity(self, flavor):
-        out = extend_orthonormal([], 4, flavor)
-        m = DualMatrix.from_columns(out, rows=4)
-        assert (m - DualMatrix.identity(4)).norm() == 0.0
+        out = extend_orthonormal(DualMatrix.zeros(4, 0), flavor)
+        assert (out - DualMatrix.identity(4)).norm() == 0.0
 
     def test_non_finite_partial_raises(self):
         with pytest.raises(NonFiniteInput):
-            extend_orthonormal([DualVector([1, 0], [np.nan, 0])], 2, FLAVOR_T)
+            extend_orthonormal(vec([1, 0], [np.nan, 0]), FLAVOR_T)
 
     def test_dependent_partial_raises(self, rng):
-        v = DualVector(rng.standard_normal(4))
+        v = rng.standard_normal(4)
         with pytest.raises(DegenerateInput):
-            extend_orthonormal([v, v], 4, FLAVOR_T)
+            extend_orthonormal(DualMatrix(np.column_stack([v, v])), FLAVOR_T)
+
+    def test_non_orthonormal_partial_raises(self):
+        # Independent but not orthonormal: completing it would return a
+        # basis that is not an isometry.
+        for p in (vec([2, 0]), DualMatrix(np.eye(3, 4))):
+            for flavor in FLAVORS:
+                with pytest.raises(DegenerateInput):
+                    extend_orthonormal(p, flavor)
+
+    def test_orthonormality_follows_the_form(self):
+        # e1 + eps*e1 is star-orthonormal, <v, v> = 1, but (v, v) = 1 + 2eps.
+        v = vec([1, 0], [1, 0])
+        with pytest.raises(DegenerateInput):
+            extend_orthonormal(v, FLAVOR_T)
+        out = extend_orthonormal(v, FLAVOR_STAR)
+        assert structure_residual(out, "unitary") < 1e-12

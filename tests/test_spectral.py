@@ -148,7 +148,7 @@ class TestTSpectral:
 @pytest.mark.parametrize("decomp", [t_spectral, star_spectral])
 def test_empty_matrix(decomp):
     dec = decomp(DualMatrix(np.zeros((0, 0))))
-    assert dec.v.shape == (0, 0) and dec.all_blocks() == []
+    assert dec.v.shape == (0, 0) and dec.blocks == []
 
 
 @pytest.mark.parametrize("spread", [0.9e-8, 1.1e-8])
