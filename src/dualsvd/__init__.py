@@ -18,6 +18,7 @@ from .errors import (
     NotSquare,
     NotSymmetric,
     PoleAt,
+    PreconditionViolation,
     VerificationError,
 )
 from .laguerre import (
@@ -51,6 +52,7 @@ from .svd import (
     SigmaBlock,
     SubspaceSplit,
     SvdResult,
+    penrose_limits,
     penrose_residuals,
     pinv_t,
     split_subspaces,
@@ -71,10 +73,10 @@ __all__ = [
     "eigenvalue_multiset",
     "SvdResult", "SigmaBlock", "SubspaceSplit", "PolarResult",
     "svd", "svd_invertible", "split_subspaces", "t_polar", "pinv_t",
-    "penrose_residuals",
+    "penrose_residuals", "penrose_limits",
     "LaguerreTransform", "LaguerreClassification", "apply_transform",
     "classify_transform",
-    "DualLinAlgError", "DimensionMismatch", "NotSquare", "NotSymmetric",
+    "DualLinAlgError", "PreconditionViolation", "DimensionMismatch", "NotSquare", "NotSymmetric",
     "NotSkewSymmetric", "NotHermitian", "NotInvertible", "NoSquareRoot",
     "DegenerateInput", "NonFiniteInput", "PoleAt", "VerificationError",
 ]

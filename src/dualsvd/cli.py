@@ -13,16 +13,7 @@ import sys
 import numpy as np
 
 from . import fileformat
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    DualLinAlgError,
-    NonFiniteInput,
-    NotHermitian,
-    NotInvertible,
-    NotSquare,
-    NotSymmetric,
-)
+from .errors import DualLinAlgError, NotSquare, PreconditionViolation
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
 from .linalg import (
@@ -34,7 +25,7 @@ from .linalg import (
     structure_residual,
 )
 from .spectral import star_spectral, t_spectral
-from .svd import penrose_residuals, pinv_t, svd, t_polar
+from .svd import penrose_limits, penrose_residuals, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
 KIND_FACTORS = {
@@ -46,16 +37,6 @@ KIND_FACTORS = {
     "pinv": ("T", ("pinv",)),
 }
 KINDS = tuple(KIND_FACTORS)
-
-_PRECONDITION_ERRORS = (
-    NotSquare,
-    NotSymmetric,
-    NotHermitian,
-    NotInvertible,
-    DimensionMismatch,
-    DegenerateInput,
-    NonFiniteInput,
-)
 
 
 def _load_matrix(path: str) -> DualMatrix:
@@ -104,10 +85,11 @@ def _star_sigma_form_residual(sigma: DualMatrix) -> float:
 
 def _invariants(m: DualMatrix, kind: str, f: dict, tol: float):
     """Yield (name, residual, limit) for every invariant of a result whose
-    factors are ``f``.  Isometries are unit-scale, so their limit is ``tol``;
-    every other residual scales with M."""
+    factors are ``f``.  Each limit is ``tol`` times the scale of its residual:
+    1 for an isometry, ``penrose_limits`` for the Penrose identities, and ||M||
+    for every other residual."""
     flavor = KIND_FACTORS[kind][0]
-    lim = tol * max(1.0, m.norm())
+    lim = tol * m.norm()
     for name in ("u", "v"):
         if name in f:
             yield f"{name}_structure", structure_residual(f[name], ISOMETRY[flavor]), tol
@@ -126,8 +108,9 @@ def _invariants(m: DualMatrix, kind: str, f: dict, tol: float):
         recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
         yield "reconstruction", (recon - m).norm(), lim
     elif "pinv" in f:
+        lims = penrose_limits(m, f["pinv"], tol)
         for name, val in penrose_residuals(m, f["pinv"]).items():
-            yield f"penrose_{name}", val, lim
+            yield f"penrose_{name}", val, lims[name]
 
 
 def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:
@@ -261,7 +244,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionViolation as exc:
         print(f"precondition violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except DualLinAlgError as exc:

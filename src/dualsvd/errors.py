@@ -5,15 +5,19 @@ class DualLinAlgError(Exception):
     """Base class for all errors raised by dualsvd."""
 
 
-class DimensionMismatch(DualLinAlgError):
+class PreconditionViolation(DualLinAlgError):
+    """An input does not meet a precondition of the operation (CLI exit 3)."""
+
+
+class DimensionMismatch(PreconditionViolation):
     """Operands do not have conforming dimensions."""
 
 
-class NotSquare(DualLinAlgError):
+class NotSquare(PreconditionViolation):
     """A square matrix was required."""
 
 
-class NotSymmetric(DualLinAlgError):
+class NotSymmetric(PreconditionViolation):
     """Input is not symmetric within the requested tolerance."""
 
 
@@ -21,11 +25,11 @@ class NotSkewSymmetric(DualLinAlgError):
     """Input is not skew-symmetric within the requested tolerance."""
 
 
-class NotHermitian(DualLinAlgError):
+class NotHermitian(PreconditionViolation):
     """Input is not Hermitian within the requested tolerance."""
 
 
-class NotInvertible(DualLinAlgError):
+class NotInvertible(PreconditionViolation):
     """Inversion was requested for a zero divisor or singular matrix."""
 
 
@@ -33,7 +37,7 @@ class NoSquareRoot(DualLinAlgError):
     """The dual number has no square root (standard part not positive)."""
 
 
-class DegenerateInput(DualLinAlgError):
+class DegenerateInput(PreconditionViolation):
     """Vectors are linearly dependent (standard parts numerically dependent)."""
 
 
@@ -45,5 +49,5 @@ class VerificationError(DualLinAlgError):
     """An internal self-check (e.g. Penrose identities) failed unexpectedly."""
 
 
-class NonFiniteInput(DualLinAlgError):
+class NonFiniteInput(PreconditionViolation):
     """An input matrix has a NaN or infinite entry."""

@@ -50,11 +50,10 @@ class DualMatrix:
     __slots__ = ("std", "inf")
 
     def __init__(self, std, inf=None):
-        self.std = np.atleast_2d(np.asarray(std, dtype=float))
-        if inf is None:
-            self.inf = np.zeros_like(self.std)
-        else:
-            self.inf = np.atleast_2d(np.asarray(inf, dtype=float))
+        self.std = np.asarray(std, dtype=float)
+        self.inf = np.zeros_like(self.std) if inf is None else np.asarray(inf, dtype=float)
+        if self.std.ndim != 2:
+            raise DimensionMismatch(f"parts must be 2-D arrays, got shape {self.std.shape}")
         if self.std.shape != self.inf.shape:
             raise DimensionMismatch("std and inf parts differ in shape")
 
@@ -245,9 +244,9 @@ def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: str, floor: float):
     diag(R0) > 0 and (star) diag(R) real.  With A0 = Q0 R0, C = Q0^T A1 R0^-1
     and L its strict lower triangle, Q1 = Q0 X + (I - Q0 Q0^T) A1 R0^-1, where
     X = L - L^T (T) or L + L^T + diag(C) (star).  DegenerateInput if there
-    are more columns than rows or an entry of diag(R0) is below ``floor``."""
+    are more columns than rows or an entry of diag(R0) is not above ``floor``."""
     q0, r0 = signed_qr(a0)
-    if r0.shape[0] < r0.shape[1] or not np.diag(r0).min() >= floor:
+    if r0.shape[0] < r0.shape[1] or not np.diag(r0).min() > floor:
         raise DegenerateInput("inputs are linearly dependent: diag(R0) vanished")
     a1r = np.linalg.solve(r0.T, a1.T).T  # A1 R0^-1
     c = q0.T @ a1r
@@ -266,7 +265,7 @@ def gram_schmidt(a: DualMatrix, flavor: str) -> DualMatrix:
     nrm = _finite_norm(a)
     if not a.shape[1]:
         return a.copy()
-    return _dual_qr(a.std, a.inf, flavor, INDEPENDENCE_TOL * max(nrm, 1.0))
+    return _dual_qr(a.std, a.inf, flavor, INDEPENDENCE_TOL * nrm)
 
 
 def extend_orthonormal(p: DualMatrix, flavor: str) -> DualMatrix:

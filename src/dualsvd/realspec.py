@@ -74,11 +74,12 @@ def signed_qr(a: np.ndarray, mode: str = "reduced"):
 
 
 def sym_eig(a, tol: float = 1e-9) -> RealSpectral:
-    """Orthogonally diagonalize a real symmetric matrix."""
+    """Orthogonally diagonalize a real symmetric matrix.  NotSymmetric if
+    max|a - a^T| exceeds ``tol`` times max|a|."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is not square: {a.shape}")
-    if not _maxabs(a - a.T) <= tol * max(1.0, _maxabs(a)) < math.inf:  # NaN, inf fail
+    if not _maxabs(a - a.T) <= tol * _maxabs(a) < math.inf:  # NaN, inf fail
         raise NotSymmetric("matrix is not symmetric within tolerance")
     eigenvalues, q = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-eigenvalues, kind="stable")
@@ -86,18 +87,19 @@ def sym_eig(a, tol: float = 1e-9) -> RealSpectral:
 
 
 def skew_block_diag(a, tol: float = 1e-9) -> SkewBlockForm:
-    """Orthogonally block-diagonalize a real skew-symmetric matrix."""
+    """Orthogonally block-diagonalize a real skew-symmetric matrix.  Above
+    ``tol`` times max|a|, max|a + a^T| raises NotSkewSymmetric; at or below it, mu is zero."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise NotSkewSymmetric(f"matrix is not square: {a.shape}")
-    scale = max(1.0, _maxabs(a))
-    if not _maxabs(a + a.T) <= tol * scale < math.inf:  # NaN, inf fail
+    limit = tol * _maxabs(a)
+    if not _maxabs(a + a.T) <= limit < math.inf:  # NaN, inf fail
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
 
     mus, z = np.linalg.eigh(0.5j * (a - a.T))
     # The eigenvalues come in pairs +-mu; keep the positive ones, descending.
-    p = min(int(np.count_nonzero(mus > tol * scale)), n // 2)
+    p = min(int(np.count_nonzero(mus > limit)), n // 2)
     mus, z = mus[::-1][:p], z[:, ::-1][:, :p]
     # Turn each z so that its first sizeable component is real and positive.
     lead = _first_sizeable(z)

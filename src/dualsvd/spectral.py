@@ -132,8 +132,9 @@ def resolve_clusters(vals, gid, bt, flavor: str, scale: float, c: float, *isos) 
         if star:
             b = 0.5 * (b - b.T)
             # Rotation parameters below 1e-9 of the matrix scale collapse to
-            # scalar blocks, not near-boundary 2x2 blocks.
-            mu_floor = 1e-9 * scale / max(1.0, float(np.abs(b).max()))
+            # scalar blocks, not near-boundary 2x2 blocks: skew_block_diag's
+            # cutoff is tol*max|b| (the bound keeps a zero block's tol finite).
+            mu_floor = 1e-9 * scale / max(float(np.abs(b).max()), 1e-300)
             sb = skew_block_diag(b, tol=mu_floor)
             q, p = sb.q, len(sb.mus)
             sp[i : i + 2 * p : 2] = sb.mus

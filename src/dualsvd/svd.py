@@ -170,12 +170,21 @@ def penrose_residuals(m: DualMatrix, x: DualMatrix) -> dict:
     }
 
 
+def penrose_limits(m: DualMatrix, x: DualMatrix, tol: float) -> dict:
+    """Each Penrose identity's limit: ``tol`` times the scale of its
+    residual.  MXM - M scales like M and XMX - X like X; MX and XM are
+    dimensionless, so their symmetry defects get ``tol`` itself."""
+    lims = {"mxm": tol * m.norm(), "xmx": tol * x.norm()}
+    return lims | {"mx_symmetric": tol, "xm_symmetric": tol}
+
+
 def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     """Moore-Penrose pseudoinverse via the T-SVD, or None when none exists.
 
     The k appreciable singular values are inverted and the rest are zero; a
     nonzero infinitesimal part among the rest certifies nonexistence.  The
-    work, the Penrose self-check included, is done on M scaled to unit norm.
+    work, the Penrose self-check at ``penrose_limits(M, X, 1e-8)`` included,
+    is done on M scaled to unit norm.
     """
     m, c, scale = unit_scale(m)
     r, k = _svd(m, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL)
@@ -187,9 +196,8 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     x_std[:k] = 1.0 / a[:k]
     x_inf[:k] = -b[:k] / (a[:k] * a[:k])
     x = r.v @ DualMatrix._of(np.diag(x_std), np.diag(x_inf)) @ r.u.T
-    worst = np.max(list(penrose_residuals(m, x).values()))
-    if not worst <= 1e-8 * scale:
-        raise VerificationError(
-            f"Penrose identities failed at {worst:.3e} (scale {scale:.3e})"
-        )
+    residuals = penrose_residuals(m, x)
+    for name, limit in penrose_limits(m, x, 1e-8).items():
+        if not residuals[name] <= limit:
+            raise VerificationError(f"Penrose {name}: {residuals[name]:.3e} > limit {limit:.3e}")
     return x if c == 1.0 else DualMatrix._of(x.std / c, x.inf / c)

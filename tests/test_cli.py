@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dualsvd
-from dualsvd import Dual, DualMatrix
+from dualsvd import Dual, DualMatrix, errors
 from dualsvd.cli import main
 from dualsvd.fileformat import (
     ParseError,
@@ -153,6 +153,17 @@ class TestDecompose:
         assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
         assert main(["check", "--input", inp, "--result", out]) == 0
 
+    def test_exit_3_errors_share_one_base(self):
+        seven = {
+            errors.NotSquare, errors.NotSymmetric, errors.NotHermitian, errors.NotInvertible,
+            errors.DimensionMismatch, errors.DegenerateInput, errors.NonFiniteInput,
+        }
+        subclasses = {
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.PreconditionViolation)
+        }
+        assert subclasses - {errors.PreconditionViolation} == seven
+
     def test_precondition_exit_3(self, tmp_path):
         nonsq = tmp_path / "r.json"
         nonsq.write_text(serialize_matrix(DualMatrix(np.zeros((2, 3)))))
@@ -283,6 +294,28 @@ class TestCheck:
         out.write_text(dumps(doc))
         assert main(["check", "--input", inp, "--result", str(out)]) == 4
         assert "reconstruction: residual=nan" in capsys.readouterr().out
+
+    def test_pinv_at_tiny_norm_passes(self, tmp_path, capsys):
+        # ||M|| = 2.5e-9 puts ||X|| near 4e9: XMX - X is judged against ||X||
+        # and MXM - M against ||M||, not both against max(1, ||M||).
+        inp = str(Path(__file__).parent / "data" / "pinv_n3_tiny_norm.json")
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("penrose_mxm:")][0].endswith("limit=2.500e-17")
+
+    def test_limits_scale_with_a_tiny_m(self, tmp_path):
+        # At ||M|| = 2e-6 a reconstruction off by 1e-10 is off by 5e-5 of M;
+        # a limit of tol*max(1, ||M||) = 1e-8 let it pass.
+        inp = write_matrix(tmp_path / "m.json", DualMatrix(np.diag([2e-6, 1e-6])))
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", str(out)]) == 0
+        assert main(["check", "--input", inp, "--result", str(out)]) == 0
+        doc = loads(out.read_text())
+        doc["factors"]["sigma"]["entries"][0][0] += 1e-10
+        out.write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
 
     def test_pinv_nonexistent_check(self, tmp_path):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))

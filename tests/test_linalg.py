@@ -53,6 +53,15 @@ class TestMatrixOps:
         with pytest.raises(DimensionMismatch):
             DualMatrix.zeros(2, 2) + DualMatrix.zeros(3, 3)
 
+    def test_parts_must_be_2d(self):
+        # A 1-D part is not read as a 1 x n row (nor as a column).
+        for std, inf in (([3.0, 4.0], None), ([3.0, 4.0], [1.0, 0.0]), (5.0, None)):
+            with pytest.raises(DimensionMismatch):
+                DualMatrix(std, inf)
+        with pytest.raises(DimensionMismatch):
+            DualMatrix(np.eye(2), [1.0, 0.0])
+        assert DualMatrix([[3.0], [4.0]], [[1.0], [0.0]]).shape == (2, 1)
+
     def test_scale_and_entry(self):
         m = DualMatrix([[2.0]], [[3.0]]).scale(Dual(0, 1))
         # (2+3e)*e = 2e
@@ -213,6 +222,14 @@ class TestGramSchmidt:
     def test_empty_input(self):
         for flavor in FLAVORS:
             assert gram_schmidt(DualMatrix.zeros(3, 0), flavor).shape == (3, 0)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_zero_vectors_raise(self, flavor):
+        # The dependence floor is relative to ||A||, which is 0 here: a zero
+        # diagonal of R0 must still fail it, not reach the triangular solve.
+        for k in (1, 2):
+            with pytest.raises(DegenerateInput):
+                gram_schmidt(DualMatrix.zeros(3, k), flavor)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_output_is_the_unique_dual_qr(self, rng, flavor):

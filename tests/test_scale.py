@@ -17,14 +17,18 @@ from dualsvd import (
     LaguerreTransform,
     NonFiniteInput,
     NotInvertible,
+    NotSymmetric,
     classify_transform,
+    gram_schmidt,
     penrose_residuals,
     pinv_t,
+    skew_block_diag,
     split_subspaces,
     star_spectral,
     structure_residual,
     svd,
     svd_invertible,
+    sym_eig,
     t_polar,
     t_spectral,
 )
@@ -173,3 +177,27 @@ def test_zero_matrix(n):
     assert identity(polar.u) and zero(polar.p)
     with pytest.raises(NotInvertible):
         classify_transform(LaguerreTransform(DualMatrix.zeros(2, 2)))
+
+
+# The real backends and Gram-Schmidt judge a matrix against its own norm, so
+# a tiny input is read as the same input at unit scale.
+BACKEND_SCALES = [1.0, 1e-6, 1e-12]
+
+
+@pytest.mark.parametrize("c", BACKEND_SCALES)
+def test_skew_block_diag_keeps_a_small_rotation(c):
+    sb = skew_block_diag(c * np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert sb.zero_count == 0 and sb.mus == pytest.approx([c], rel=1e-14)
+
+
+@pytest.mark.parametrize("c", BACKEND_SCALES)
+def test_sym_eig_rejects_a_small_asymmetric_matrix(c):
+    with pytest.raises(NotSymmetric):
+        sym_eig(c * np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("c", BACKEND_SCALES)
+@pytest.mark.parametrize("flavor", (FLAVOR_T, FLAVOR_STAR))
+def test_gram_schmidt_accepts_a_small_basis(c, flavor):
+    q = gram_schmidt(DualMatrix(c * np.eye(2)), flavor)
+    assert (q - DualMatrix.identity(2)).norm() < 1e-15

@@ -59,6 +59,15 @@ class TestStarSpectral:
         b = dec.blocks[0]
         assert (b.size, b.sigma, b.sigma_prime) == (2, 0.0, 1.0)
 
+    @pytest.mark.parametrize("mu", [0.0, 1e-320, 1e-12, 1e-10, 1e-8])
+    def test_rotation_cutoff_is_absolute_in_a_cluster(self, mu):
+        # A cluster's rotation parameter counts iff it exceeds 1e-9 of the
+        # matrix scale, however small the cluster's block of B~ is (zero or
+        # subnormal included).
+        m = DualMatrix(np.eye(2), [[0.0, -mu], [mu, 0.0]])
+        sizes = [b.size for b in star_spectral(m).blocks]
+        assert sizes == ([2] if mu > 1e-9 else [1, 1])
+
     def test_real_diagonal(self):
         dec = star_spectral(DualMatrix(np.diag([2.0, 1.0])))
         assert (dec.v - DualMatrix.identity(2)).norm() < 1e-12

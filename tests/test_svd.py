@@ -11,10 +11,10 @@ from dualsvd import (
     DualMatrix,
     NotInvertible,
     SigmaBlock,
-    VerificationError,
     adjoint,
     eigenvalue_multiset,
     form,
+    penrose_limits,
     penrose_residuals,
     pinv_t,
     split_subspaces,
@@ -139,13 +139,8 @@ class TestOneAppreciabilityRule:
                 svd_invertible(m, flavor)
         else:
             svd_invertible(m, flavor)
-        try:
-            nonexistent = pinv_t(m) is None
-        except VerificationError:
-            # An inverse exists, but X ~ eps/s^2 fails the Penrose
-            # self-check, whose limit does not grow with ||X||.
-            nonexistent = False
-        assert nonexistent == (k < 2)
+        # At s = 4e-8, X ~ eps/s^2 is huge; XMX - X is judged against ||X||.
+        assert (pinv_t(m) is None) == (k < 2)
 
 
 class TestGeneralSvd:
@@ -394,3 +389,63 @@ class TestPinv:
                 if x is not None:
                     worst = max(penrose_residuals(m, x).values())
                     assert worst < 1e-8 * max(1.0, m.norm())
+
+    def test_penrose_limits_scale_per_identity(self, rng):
+        # MXM - M is judged against ||M||, XMX - X against ||X||, and the
+        # dimensionless symmetry defects against 1, as bench/verify.py does.
+        m = random_dual_matrix(rng, 3, "generic")
+        x = pinv_t(m)
+        lims = penrose_limits(m, x, 1e-8)
+        assert lims == {
+            "mxm": 1e-8 * m.norm(),
+            "xmx": 1e-8 * x.norm(),
+            "mx_symmetric": 1e-8,
+            "xm_symmetric": 1e-8,
+        }
+        for n in (0, 2):
+            z = DualMatrix.zeros(n, n)
+            assert penrose_limits(z, z, 1e-8)["xmx"] == 0.0
+            assert np.array_equal(pinv_t(z).std, z.std)
+
+
+def closed_form_pinv(a, b):
+    """The dual Moore-Penrose inverse of A + eps*B in closed form (Udwadia,
+    Pennestri & de Falco, Mech. Mach. Theory 2020; H. Wang, Mech. Mach.
+    Theory 2021): with P = I - A A+ and Q = I - A+ A it exists iff
+    P B Q = 0, and then it is
+    A+ - eps*(A+ B A+ - (A^T A)+ B^T P - Q B^T (A A^T)+).
+    Returns (std, inf), or None when none exists."""
+    n = a.shape[0]
+    ap = np.linalg.pinv(a, rcond=1e-10)
+    p = np.eye(n) - a @ ap
+    q = np.eye(n) - ap @ a
+    if np.abs(p @ b @ q).max() > 1e-8 * max(np.abs(a).max(), np.abs(b).max()):
+        return None
+    ata = np.linalg.pinv(a.T @ a, rcond=1e-10)
+    aat = np.linalg.pinv(a @ a.T, rcond=1e-10)
+    return ap, -(ap @ b @ ap - ata @ b.T @ p - q @ b.T @ aat)
+
+
+class TestPinvClosedForm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_verdict_and_x_match_the_closed_form(self, rng, n):
+        """Every rank, with a generic B (P B Q != 0 below full rank, so no
+        pseudoinverse) and with B projected so that P B Q = 0."""
+        for rank in range(n + 1):
+            for projected in (False, True):
+                for _ in range(3):
+                    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    s = np.zeros(n)
+                    s[:rank] = rng.uniform(0.5, 2.0, rank)
+                    a = q1 @ np.diag(s) @ q2.T
+                    b = rng.standard_normal((n, n))
+                    if projected:
+                        ap = np.linalg.pinv(a, rcond=1e-10)
+                        b = b - (np.eye(n) - a @ ap) @ b @ (np.eye(n) - ap @ a)
+                    want = closed_form_pinv(a, b)
+                    got = pinv_t(DualMatrix(a, b))
+                    assert (got is None) == (want is None) == (rank < n and not projected)
+                    if want is not None:
+                        err = max(np.abs(g - w).max() for g, w in zip((got.std, got.inf), want))
+                        assert err <= 1e-10 * max(np.abs(w).max() for w in want)
