@@ -221,7 +221,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output")
     p_dec.add_argument("--tol", type=float, default=1e-8)
-    p_dec.add_argument("--cluster-tol", type=float, default=1e-8)
+    p_dec.add_argument(
+        "--cluster-tol", type=float, default=1e-8,
+        help="largest gap, relative to ||M||, between singular values or eigenvalues "
+        "that count as one (default 1e-8)",
+    )
     p_dec.set_defaults(func=cmd_decompose)
 
     p_cls = sub.add_parser("classify", help="classify a 2x2 Laguerre transform")

@@ -9,7 +9,6 @@ Non-finite numbers are rejected both when writing and when reading a matrix.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -50,30 +49,18 @@ def obj_to_matrix(obj) -> DualMatrix:
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-        entries = obj["entries"]
+        e = np.array(obj["entries"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix document: {exc}") from exc
     if rows < 0 or cols < 0:
         raise ParseError("negative dimensions")
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise ParseError(
-            f"expected {rows * cols} entries, got "
-            f"{len(entries) if isinstance(entries, list) else 'non-list'}"
-        )
-    std = np.zeros((rows, cols))
-    inf = np.zeros((rows, cols))
-    for k, pair in enumerate(entries):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"entry {k} is not a [std, inf] pair")
-        try:
-            a, b = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"entry {k} is not numeric: {exc}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ParseError(f"entry {k} is not finite")
-        std[k // cols, k % cols] = a
-        inf[k // cols, k % cols] = b
-    return DualMatrix(std, inf)
+    # Entries are rows*cols [std, inf] pairs; numpy reads an empty list as (0,).
+    want = (rows * cols, 2) if rows * cols else (0,)
+    if e.shape != want:
+        raise ParseError(f"expected {rows * cols} [std, inf] pairs, got shape {e.shape}")
+    if not np.isfinite(e).all():
+        raise ParseError("entries are not finite")
+    return DualMatrix(*e.reshape(rows, cols, 2).transpose(2, 0, 1).copy())
 
 
 def serialize_matrix(m: DualMatrix) -> str:

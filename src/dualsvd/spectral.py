@@ -1,15 +1,17 @@
 """Spectral decompositions of Hermitian / symmetric dual matrices.
 
 For M = A + eps*B, one real eigendecomposition A = Q0 D Q0^T fixes the
-standard parts and B~ = Q0^T B Q0.  ``resolve_clusters`` is the one pass
-over clusters of near-equal values, for these decompositions and for the
-SVD: a cluster of two or more takes the mean of its values and has its block
-of B~ resolved by a real rotation, and every cluster yields its blocks of
-the canonical middle factor (size 1 for T; 2x2 rotation blocks and scalar
-blocks for star).  The rest of B~ is absorbed by V = Q0 (I + eps*Omega) with
-Omega_ab = B~_ab / (d_b - d_a) across clusters; Omega is skew (T) or
-symmetric (star), so V is an exact isometry because eps**2 = 0.  Inputs are
-first scaled by a power of two to unit norm.
+standard parts and B~ = Q0^T B Q0.  ``_clusters`` groups near-equal values by
+one rule, for the eigenvalues d here and the singular values s of the SVD:
+neighbours at most cluster_tol*||M|| apart are one cluster.
+``resolve_clusters`` is the one pass over clusters: a cluster of two or more
+takes the mean of its values and has its block of B~ resolved by a real
+rotation, and every cluster yields its blocks of the canonical middle factor
+(size 1 for T; 2x2 rotation blocks and scalar blocks for star).  The rest of
+B~ is absorbed by V = Q0 (I + eps*Omega) with Omega_ab = B~_ab / (d_b - d_a)
+across clusters; Omega is skew (T) or symmetric (star), so V is an exact
+isometry because eps**2 = 0.  Inputs are first scaled by a power of two to
+unit norm.
 """
 
 from __future__ import annotations
@@ -99,12 +101,11 @@ def eigenvalue_multiset(d: SpectralDecomposition):
     return sorted(pairs)
 
 
-def _clusters(d: np.ndarray, cluster_tol: float) -> np.ndarray:
+def _clusters(vals: np.ndarray, limit: float) -> np.ndarray:
     """Label each index of a descending real sequence with its cluster: a run
-    of neighbours that differ by at most cluster_tol * max(1, max|d|)."""
-    scale = max(1.0, float(np.abs(d).max(initial=0.0)))
-    gid = np.zeros(len(d), dtype=int)
-    np.add.accumulate(~(np.abs(d[1:] - d[:-1]) <= cluster_tol * scale), out=gid[1:], dtype=int)
+    of neighbours that differ by at most the absolute ``limit``."""
+    gid = np.zeros(len(vals), dtype=int)
+    np.add.accumulate(~(np.abs(vals[1:] - vals[:-1]) <= limit), out=gid[1:], dtype=int)
     return gid
 
 
@@ -165,7 +166,7 @@ def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     bt = q0.T @ m.inf @ q0
     bt = 0.5 * (bt + bt.T if flavor == FLAVOR_T else bt - bt.T)
     # Clusters take their mean value (D = d I on each) before Omega divides.
-    gid = _clusters(d, cluster_tol)
+    gid = _clusters(d, cluster_tol * scale)
     blocks = resolve_clusters(d, gid, bt, flavor, scale, c, q0)
 
     # M = V Sigma V^adj with V = Q0 (I + eps*Omega): across clusters

@@ -5,14 +5,14 @@ For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
 Inputs are first scaled by a power of two to unit norm.  The split is the
 one appreciability rule, read by every consumer: a singular value counts iff
 it exceeds tol*||M||; the rest become zero.  The appreciable values are
-clustered on S^2.  In B~ = U0^T B V0, the appreciable clusters go through
-the spectral decompositions' one cluster pass, ``resolve_clusters``, which
-yields their blocks of the middle factor Sigma (all of size 1 for T); when
-k < n, a real SVD resolves the zero cluster's block.  The rest of B~ is
-absorbed by a first-order corrector: U = U0 (I + eps*Omega_U) and
-V = V0 (I + eps*Omega_V), with Omega skew (T) or symmetric (star), are exact
-isometries because eps**2 = 0.  A result's reconstruction residual is
-computed when it is read.
+clustered on s by the spectral decompositions' rule: neighbours at most
+cluster_tol*||M|| apart are one cluster.  In B~ = U0^T B V0, the appreciable
+clusters go through the one cluster pass, ``resolve_clusters``, which yields
+their blocks of the middle factor Sigma (all of size 1 for T); when k < n, a
+real SVD resolves the zero cluster's block.  The rest of B~ is absorbed by a
+first-order corrector: U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
+with Omega skew (T) or symmetric (star), are exact isometries because
+eps**2 = 0.  A result's reconstruction residual is computed when it is read.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     bt = u0.T @ m.inf @ v0
     # Each appreciable cluster's values become their mean: S = s I on it.
     gid = np.full(n, -1)
-    gid[:k] = _clusters(s[:k] ** 2, cluster_tol)
+    gid[:k] = _clusters(s[:k], cluster_tol * scale)
     blocks = resolve_clusters(s[:k], gid[:k], bt, flavor, scale, c, u0, v0)
     # The zero cluster's block is an infinitesimal map; a real SVD resolves it.
     if k < n:

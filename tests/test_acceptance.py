@@ -20,6 +20,7 @@ from dualsvd import (
     eigenvalue_multiset,
     form,
     gram_schmidt,
+    penrose_limits,
     penrose_residuals,
     pinv_t,
     star_spectral,
@@ -51,23 +52,24 @@ def report(capsys, ok, label, detail):
     assert ok, f"{label}: {detail}"
 
 
+def scaled(residual, scale):
+    """residual / scale; 0 for an exact result of a zero matrix."""
+    return residual / scale if residual else 0.0
+
+
 def svd_defect(m, r):
-    scale = max(1.0, m.norm())
+    """The worst invariant at its own scale: the isometry defects as they
+    are, the reconstruction and Sigma's off-diagonal part over ||M||."""
     struct = "t_orthogonal" if r.flavor == FLAVOR_T else "unitary"
-    worst = max(
+    like_m = [(r.reconstruct() - m).norm()]
+    mask = ~np.eye(m.shape[0], dtype=bool)
+    if r.flavor == FLAVOR_T and mask.any():
+        like_m += [np.abs(r.sigma.std[mask]).max(), np.abs(r.sigma.inf[mask]).max()]
+    return max(
         structure_residual(r.u, struct),
         structure_residual(r.v, struct),
-        (r.reconstruct() - m).norm(),
+        scaled(max(like_m), m.norm()),
     )
-    n = m.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    if r.flavor == FLAVOR_T and mask.any():
-        worst = max(
-            worst,
-            np.abs(r.sigma.std[mask]).max(),
-            np.abs(r.sigma.inf[mask]).max(),
-        )
-    return worst / scale
 
 
 def test_criterion_1_existence_at_scale(capsys):
@@ -107,17 +109,17 @@ def test_criterion_2_spectral_reconstruction(capsys):
             else random_hermitian(rng, n)
         )
         dec = star_spectral(m)
-        scale = max(1.0, m.norm())
         sigma = dec.sigma_matrix()
         worst = max(
             worst,
-            (dec.v @ sigma @ dec.v.star() - m).norm() / scale,
-            structure_residual(dec.v, "unitary") / scale,
+            scaled((dec.v @ sigma @ dec.v.star() - m).norm(), m.norm()),
+            structure_residual(dec.v, "unitary"),
         )
         for b in dec.blocks:
             if b.size == 2:
                 two_blocks += 1
-                min_rel_sp = min(min_rel_sp, abs(b.sigma_prime) / scale)
+                # A lower bound: the floor at 1 only makes it stricter.
+                min_rel_sp = min(min_rel_sp, abs(b.sigma_prime) / max(1.0, m.norm()))
     for k in range(500):
         n = 1 + k % 8
         m = (
@@ -126,12 +128,11 @@ def test_criterion_2_spectral_reconstruction(capsys):
             else random_symmetric(rng, n)
         )
         dec = t_spectral(m)
-        scale = max(1.0, m.norm())
         sigma = dec.sigma_matrix()
         worst = max(
             worst,
-            (dec.v @ sigma @ dec.v.T - m).norm() / scale,
-            structure_residual(dec.v, "t_orthogonal") / scale,
+            scaled((dec.v @ sigma @ dec.v.T - m).norm(), m.norm()),
+            structure_residual(dec.v, "t_orthogonal"),
         )
     ok = worst <= 1e-9 and two_blocks > 0 and min_rel_sp > 1e-8
     report(
@@ -219,12 +220,11 @@ def test_criterion_5_pseudoinverse_dichotomy(capsys):
         m = random_dual_matrix(rng, n, REGIMES[k % 4])
         x = pinv_t(m)
         if x is not None:
-            worst = max(
-                worst,
-                max(penrose_residuals(m, x).values()) / max(1.0, m.norm()),
-            )
-    if worst > 1e-8:
-        ok, notes = False, notes + [f"Penrose residual {worst:.3e}"]
+            lims = penrose_limits(m, x, 1e-8)
+            for name, res in penrose_residuals(m, x).items():
+                worst = max(worst, scaled(res, lims[name]))
+    if worst > 1.0:
+        ok, notes = False, notes + [f"Penrose residual/limit {worst:.3e}"]
 
     # 1x1 exhaustive witness: for m = a + b*eps the Penrose system reduces to
     # a^2 p = a and 2abp + a^2 q = b, solvable iff a != 0 or b = 0.  Sweep a
@@ -244,8 +244,8 @@ def test_criterion_5_pseudoinverse_dichotomy(capsys):
         ok,
         "criterion 5 (pseudoinverse dichotomy)",
         notes[0] if notes else
-        f"hand cases, 81-point 1x1 witness grid, worst Penrose {worst:.3e} "
-        "(limit 1e-8)",
+        f"hand cases, 81-point 1x1 witness grid, worst Penrose residual/limit "
+        f"{worst:.3e} (limits 1e-8 at each identity's scale)",
     )
 
 
@@ -280,7 +280,7 @@ def test_criterion_6_yaglom_dichotomy(capsys):
             continue
         c = classify_transform(t)
         counts[c.form] += 1
-        worst = max(worst, (c.reconstruct() - m).norm() / max(1.0, m.norm()))
+        worst = max(worst, (c.reconstruct() - m).norm() / m.norm())
         trials += 1
     ok = hand_ok and worst <= 1e-9 and counts[1] > 0 and counts[2] > 0
     report(

@@ -305,6 +305,15 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         assert [ln for ln in lines if ln.startswith("penrose_mxm:")][0].endswith("limit=2.500e-17")
 
+    @pytest.mark.parametrize("kind", ["t-svd", "star-svd"])
+    def test_small_distinct_pair_passes(self, tmp_path, kind):
+        # Singular values 1e-3 + 1e-5 and 1e-3 next to s_1 = 1.5 are two
+        # clusters: merged, the reconstruction would miss M by about 3e-6.
+        inp = str(Path(__file__).parent / "data" / "svd_small_pair.json")
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
+
     def test_limits_scale_with_a_tiny_m(self, tmp_path):
         # At ||M|| = 2e-6 a reconstruction off by 1e-10 is off by 5e-5 of M;
         # a limit of tol*max(1, ||M||) = 1e-8 let it pass.

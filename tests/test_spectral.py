@@ -27,11 +27,12 @@ from conftest import (
 
 
 def check_star(m, dec, tol=1e-9):
-    scale = max(1.0, m.norm())
-    assert structure_residual(dec.v, "unitary") <= tol * scale
+    """The isometry defect against tol, the reconstruction against
+    tol*||M||."""
+    assert structure_residual(dec.v, "unitary") <= tol
     sigma = dec.sigma_matrix()
     recon = dec.v @ sigma @ dec.v.star()
-    assert (recon - m).norm() <= tol * scale
+    assert (recon - m).norm() <= tol * m.norm()
     p = 0
     for b in dec.blocks:
         assert b.size in (1, 2)
@@ -42,11 +43,11 @@ def check_star(m, dec, tol=1e-9):
 
 
 def check_t(m, dec, tol=1e-9):
-    scale = max(1.0, m.norm())
-    assert structure_residual(dec.v, "t_orthogonal") <= tol * scale
+    """As check_star, with the T-transpose."""
+    assert structure_residual(dec.v, "t_orthogonal") <= tol
     sigma = dec.sigma_matrix()
     recon = dec.v @ sigma @ dec.v.T
-    assert (recon - m).norm() <= tol * scale
+    assert (recon - m).norm() <= tol * m.norm()
     assert len(dec.diag) == m.shape[0]
 
 
@@ -163,8 +164,9 @@ def test_empty_matrix(decomp):
 @pytest.mark.parametrize("spread", [0.9e-8, 1.1e-8])
 @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
 def test_near_boundary_cluster_reconstructs(flavor, spread):
-    # A pair `spread` apart (one cluster below cluster_tol, two above it)
-    # next to a gap of 0.1, coupled to the far value by B.
+    # A pair `spread` apart (one cluster at or below cluster_tol*||M||, two
+    # above it; ||M|| = 1 + spread here) next to a gap of 0.1, coupled to the
+    # far value by B.
     b = np.zeros((3, 3))
     b[0, 2] = b[1, 2] = 1.0
     b = b + b.T if flavor == FLAVOR_T else b - b.T
@@ -176,6 +178,27 @@ def test_near_boundary_cluster_reconstructs(flavor, spread):
         dec = star_spectral(m)
         recon = dec.v @ dec.sigma_matrix() @ dec.v.star()
     assert (recon - m).norm() <= 1e-8 * m.norm()
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
+def test_inf_dominated_pair_is_one_cluster(rng, flavor):
+    # Eigenvalues 1e-3*(1.5, 1.2, 1 + 1e-5, 1, 0.8) under a B with ||B|| = 1.9:
+    # the pair's gap, 1e-8, is below cluster_tol*||M||, so the pair is one
+    # cluster and Omega stays bounded, however small the values are.
+    d = 1e-3 * np.array([1.5, 1.2, 1.0 + 1e-5, 1.0, 0.8])
+    for _ in range(10):
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        b = rng.standard_normal((5, 5))
+        b = b + b.T if flavor == FLAVOR_T else b - b.T
+        m = DualMatrix(q @ np.diag(d) @ q.T, 1.9 * b / np.abs(b).max())
+        if flavor == FLAVOR_T:
+            dec = t_spectral(m)
+            iso, recon = "t_orthogonal", dec.v @ dec.sigma_matrix() @ dec.v.T
+        else:
+            dec = star_spectral(m)
+            iso, recon = "unitary", dec.v @ dec.sigma_matrix() @ dec.v.star()
+        assert structure_residual(dec.v, iso) <= 1e-8
+        assert (recon - m).norm() <= 1e-8 * m.norm()
 
 
 class TestEigenvalueMultiset:
