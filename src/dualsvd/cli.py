@@ -52,12 +52,8 @@ def _summary(r) -> dict:
     """The diagonal (T) or block (star) summary of an SVD or spectral result."""
     if r.flavor == FLAVOR_T:
         return {"diag": [[d.std, d.inf] for d in r.diag]}
-    return {
-        "blocks": [
-            {"size": b.size, "sigma": float(b.sigma), "sigma_prime": float(b.sigma_prime)}
-            for b in r.blocks
-        ]
-    }
+    # Block fields are Python numbers, so a block's fields are its JSON entry.
+    return {"blocks": [vars(b) for b in r.blocks]}
 
 
 def _maxabs(a: np.ndarray, mask: np.ndarray) -> float:

@@ -9,6 +9,7 @@ Non-finite numbers are rejected both when writing and when reading a matrix.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -47,11 +48,14 @@ def obj_to_matrix(obj) -> DualMatrix:
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        e = np.array(obj["entries"], dtype=float)
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        # np.array would also read strings and booleans as numbers.
+        kinds = set(map(type, chain.from_iterable(entries)))
+        e = np.array(entries, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix document: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int or not kinds <= {int, float}:
+        raise ParseError("rows and cols must be integers, entries JSON numbers")
     if rows < 0 or cols < 0:
         raise ParseError("negative dimensions")
     # Entries are rows*cols [std, inf] pairs; numpy reads an empty list as (0,).

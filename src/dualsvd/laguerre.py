@@ -68,6 +68,6 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     r = svd_invertible(t.m, FLAVOR_STAR)
     blk = r.blocks[0]
     if blk.size == 1:
-        return LaguerreClassification(1, r.u, tuple(b.sigma for b in r.blocks), v=r.v)
+        return LaguerreClassification(1, r.u, tuple(r.middle[0].tolist()), v=r.v)
     sp = blk.sigma_prime * float(np.sign(np.linalg.det(r.v.std)))
     return LaguerreClassification(2, r.u @ r.v.star(), blk.sigma, sigma_prime=sp)

@@ -154,9 +154,7 @@ class DualMatrix:
     def norm(self) -> float:
         """Max over both real parts of the entrywise-max norm; NaN if either
         part holds a NaN."""
-        if self.std.size == 0:
-            return 0.0
-        return np.maximum(np.abs(self.std).max(), np.abs(self.inf).max())
+        return np.abs((self.std, self.inf)).max(initial=0.0)
 
     def __repr__(self):
         return f"DualMatrix(std=\n{self.std},\ninf=\n{self.inf})"

@@ -73,31 +73,33 @@ def signed_qr(a: np.ndarray, mode: str = "reduced"):
     return q, r
 
 
-def sym_eig(a, tol: float = 1e-9) -> RealSpectral:
+def sym_eig(a, tol: float = 1e-9, check: bool = True) -> RealSpectral:
     """Orthogonally diagonalize a real symmetric matrix.  NotSymmetric if
-    max|a - a^T| exceeds ``tol`` times max|a|."""
+    max|a - a^T| exceeds ``tol`` times max|a|.  ``check=False`` takes a float
+    array that is symmetric by construction as it is."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is not square: {a.shape}")
-    if not _maxabs(a - a.T) <= tol * _maxabs(a) < math.inf:  # NaN, inf fail
+    if check and not _maxabs(a - a.T) <= tol * _maxabs(a) < math.inf:  # NaN, inf fail
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    eigenvalues, q = np.linalg.eigh(0.5 * (a + a.T))
+    eigenvalues, q = np.linalg.eigh(0.5 * (a + a.T) if check else a)
     order = np.argsort(-eigenvalues, kind="stable")
     return RealSpectral(_positive_signs(q[:, order]), eigenvalues[order])
 
 
-def skew_block_diag(a, tol: float = 1e-9) -> SkewBlockForm:
+def skew_block_diag(a, tol: float = 1e-9, check: bool = True) -> SkewBlockForm:
     """Orthogonally block-diagonalize a real skew-symmetric matrix.  Above
-    ``tol`` times max|a|, max|a + a^T| raises NotSkewSymmetric; at or below it, mu is zero."""
+    ``tol`` times max|a|, max|a + a^T| raises NotSkewSymmetric; at or below it, mu is zero.
+    ``check=False`` takes a float array that is skew by construction as it is."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise NotSkewSymmetric(f"matrix is not square: {a.shape}")
     limit = tol * _maxabs(a)
-    if not _maxabs(a + a.T) <= limit < math.inf:  # NaN, inf fail
+    if check and not _maxabs(a + a.T) <= limit < math.inf:  # NaN, inf fail
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
 
-    mus, z = np.linalg.eigh(0.5j * (a - a.T))
+    mus, z = np.linalg.eigh(1j * (0.5 * (a - a.T) if check else a))
     # The eigenvalues come in pairs +-mu; keep the positive ones, descending.
     p = min(int(np.count_nonzero(mus > limit)), n // 2)
     mus, z = mus[::-1][:p], z[:, ::-1][:, :p]

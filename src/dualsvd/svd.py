@@ -5,14 +5,14 @@ For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
 Inputs are first scaled by a power of two to unit norm.  The split is the
 one appreciability rule, read by every consumer: a singular value counts iff
 it exceeds tol*||M||; the rest become zero.  The appreciable values are
-clustered on s by the spectral decompositions' rule: neighbours at most
-cluster_tol*||M|| apart are one cluster.  In B~ = U0^T B V0, the appreciable
-clusters go through the one cluster pass, ``resolve_clusters``, which yields
-their blocks of the middle factor Sigma (all of size 1 for T); when k < n, a
-real SVD resolves the zero cluster's block.  The rest of B~ is absorbed by a
-first-order corrector: U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
-with Omega skew (T) or symmetric (star), are exact isometries because
-eps**2 = 0.  A result's reconstruction residual is computed when it is read.
+clustered on s by the spectral decompositions' rule, as runs of neighbours
+at most cluster_tol*||M|| apart.  In B~ = U0^T B V0, the one cluster pass,
+``resolve_clusters``, resolves the runs and gives the middle factor as
+per-index arrays; when k < n, a real SVD resolves the zero cluster's block.
+The rest of B~ is absorbed by a first-order corrector, one division with 1
+in the denominator inside clusters: U = U0 (I + eps*Omega_U) and V = V0 (I +
+eps*Omega_V), with Omega skew (T) or symmetric (star), are exact isometries
+as eps**2 = 0.  Sigma, blocks and residual are built when they are read.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from .errors import NotInvertible, VerificationError
 from .linalg import FLAVOR_STAR, FLAVOR_T, DualMatrix, adjoint, require_square, unit_scale
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
+    HeldMiddle,
     SpectralBlock,
-    _clusters,
-    block_matrix,
-    dual_diagonal,
+    _cluster_runs,
+    _fill_clusters,
+    middle_matrix,
     resolve_clusters,
 )
 
@@ -39,17 +40,16 @@ SigmaBlock = SpectralBlock
 
 
 @dataclass
-class SvdResult:
+class SvdResult(HeldMiddle):
     u: DualMatrix
-    sigma: DualMatrix
     v: DualMatrix
     flavor: str
-    blocks: list  # SigmaBlock list; sigma is block_matrix(blocks)
+    middle: tuple
     m: DualMatrix  # the decomposed matrix
 
     @property
-    def diag(self) -> list | None:
-        return dual_diagonal(self.flavor, self.blocks)
+    def sigma(self) -> DualMatrix:
+        return middle_matrix(*self.middle)
 
     @property
     def residual(self) -> float:
@@ -76,21 +76,20 @@ class PolarResult:
     p: DualMatrix
 
 
-def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
-    """The SVD of ``m`` and its number k of appreciable singular values."""
+def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float, scaled=None):
+    """The SVD of ``m`` and its number k of appreciable singular values;
+    ``scaled`` is ``unit_scale(m)`` if the caller has it."""
     require_square(m, "svd")
-    m0 = m
-    m, c, scale = unit_scale(m)
+    ms, c, scale = scaled or unit_scale(m)
     n = m.shape[0]
-    u0, s, v0t = np.linalg.svd(m.std)
+    u0, s, v0t = np.linalg.svd(ms.std)
     v0 = v0t.T
     k = int(np.count_nonzero(s > tol * scale))
     s[k:] = 0.0
-    bt = u0.T @ m.inf @ v0
+    bt = u0.T @ ms.inf @ v0
     # Each appreciable cluster's values become their mean: S = s I on it.
-    gid = np.full(n, -1)
-    gid[:k] = _clusters(s[:k], cluster_tol * scale)
-    blocks = resolve_clusters(s[:k], gid[:k], bt, flavor, scale, c, u0, v0)
+    runs = _cluster_runs(s[:k], cluster_tol * scale)
+    sp, size = resolve_clusters(s[:k], runs, bt, flavor, scale, u0, v0)
     # The zero cluster's block is an infinitesimal map; a real SVD resolves it.
     if k < n:
         tail = slice(k, n)
@@ -100,24 +99,33 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
         bt[tail, :] = p.T @ bt[tail, :]
         bt[:, tail] = bt[:, tail] @ qt.T
         delta[delta <= 1e-12 * scale] = 0.0
-        blocks += [SpectralBlock(0.0, e, 1) for e in (c * delta).tolist()]
+        sp[tail] = delta
 
     # B~ = Omega_U S + D - S Omega_V.  Across clusters D = 0 and the pair
-    # (i, j), (j, i) is a 2x2 system with determinant s_j^2 - s_i^2.  Inside
-    # an appreciable cluster S = s I, and Omega_U takes the part of B~ that
-    # D cannot hold; inside the zero cluster S = 0 and D takes all of it.
+    # (i, j), (j, i) is a 2x2 system with determinant s_j^2 - s_i^2 and
+    # numerators B~_ij s_j - f s_i B~_ji (Omega_U), s_i B~_ij - f B~_ji s_j
+    # (Omega_V): one division, with 1 in the denominator inside clusters.
+    # Inside an appreciable cluster S = s I, and Omega_U takes the part of B~
+    # that D cannot hold; inside the zero cluster S = 0 and D takes all of it.
     f = 1.0 if flavor == FLAVOR_STAR else -1.0
-    same = gid[:, None] == gid[None, :]
-    den = np.subtract.outer(s**2, s**2).T
-    om_u = np.zeros((n, n))
-    om_v = np.zeros((n, n))
-    np.divide(bt * s - f * s[:, None] * bt.T, den, out=om_u, where=~same)
-    np.divide(s[:, None] * bt - f * bt.T * s, den, out=om_v, where=~same)
-    np.divide(0.5 * (bt + f * bt.T), s[:, None], out=om_u, where=same & (s[:, None] > 0))
+    same = [*runs, (k, n)]
+    s2 = s**2
+    den = s2 - s2[:, None]
+    _fill_clusters(den, same, 1.0)
+    bs, sb = bt * s, s[:, None] * bt
+    om_u = (bs - f * bs.T) / den
+    om_v = (sb - f * sb.T) / den
+    _fill_clusters(om_v, same, 0.0)
+    om_u[k:, k:] = 0.0
+    d = bt.diagonal()[:k]
+    om_u.flat[: k * (n + 1) : n + 1] = 0.5 * (d + f * d) / s[:k]
+    for i, j in runs:
+        b = bt[i:j, i:j]
+        om_u[i:j, i:j] = 0.5 * (b + f * b.T) / s[i:j, None]
 
     u = DualMatrix._of(u0, u0 @ om_u)
     v = DualMatrix._of(v0, v0 @ om_v)
-    return SvdResult(u, block_matrix(blocks), v, flavor, blocks, m0), k
+    return SvdResult(u, v, flavor, (c * s, c * sp, size), m), k
 
 
 def svd_invertible(m: DualMatrix, flavor: str) -> SvdResult:
@@ -187,8 +195,8 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     is done on M scaled to unit norm.
     """
     m, c, scale = unit_scale(m)
-    r, k = _svd(m, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL)
-    a, b = np.diag(r.sigma.std), np.diag(r.sigma.inf)
+    r, k = _svd(m, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL, (m, 1.0, scale))
+    a, b = r.middle[:2]
     if (np.abs(b[k:]) > tol * scale).any():
         return None
     # 1/a - eps*b/a^2, as Dual.inv computes it; zeros stay zero.

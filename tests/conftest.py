@@ -86,6 +86,23 @@ def random_vectors(rng, n, k):
     return DualMatrix(parts[:, 0].T, parts[:, 1].T)
 
 
+def block_matrix_loop(blocks) -> DualMatrix:
+    """The middle factor of a block list, entry by entry: the reference
+    that the library's array assembly is compared against."""
+    n = sum(b.size for b in blocks)
+    out = DualMatrix.zeros(n, n)
+    p = 0
+    for b in blocks:
+        out.std[p, p] = out.std[p + b.size - 1, p + b.size - 1] = b.sigma
+        if b.size == 1:
+            out.inf[p, p] = b.sigma_prime
+        else:
+            out.inf[p, p + 1] = -b.sigma_prime
+            out.inf[p + 1, p] = b.sigma_prime
+        p += b.size
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -67,6 +67,47 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_matrix('{"rows": Infinity, "cols": 1, "entries": []}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1, "cols": 1, "entries": [["2", "1"]]}',
+            '{"rows": 1, "cols": 1, "entries": [[2.5, "1"]]}',
+            '{"rows": 1, "cols": 1, "entries": [[true, false]]}',
+            '{"rows": 1, "cols": 1, "entries": [[2.5, true]]}',
+            '{"rows": 1, "cols": 1, "entries": [[null, 1]]}',
+            '{"rows": 1, "cols": 1, "entries": [[[2], [1]]]}',
+            '{"rows": 1, "cols": 1, "entries": [2, 1]}',
+        ],
+    )
+    def test_entries_must_be_json_numbers(self, text):
+        with pytest.raises(ParseError):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("rows", ["1.7", "1.0", "true", '"1"', "null"])
+    def test_dimensions_must_be_integers(self, rows):
+        for doc in ('{"rows": %s, "cols": 1, "entries": [[2, 1]]}' % rows,
+                    '{"rows": 1, "cols": %s, "entries": [[2, 1]]}' % rows):
+            with pytest.raises(ParseError, match="integers"):
+                parse_matrix(doc)
+
+    def test_integer_and_float_entries_read_as_floats(self):
+        m = parse_matrix('{"rows": 1, "cols": 2, "entries": [[2, 1.5], [-3, 0]]}')
+        assert m.std.tolist() == [[2.0, -3.0]] and m.inf.tolist() == [[1.5, 0.0]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1, "cols": 1, "entries": [["2", "1"]]}',
+            '{"rows": 1, "cols": 1, "entries": [[true, 1]]}',
+            '{"rows": 1.7, "cols": 1, "entries": [[2, 1]]}',
+            '{"rows": true, "cols": 1, "entries": [[2, 1]]}',
+        ],
+    )
+    def test_lax_documents_exit_2(self, tmp_path, text):
+        bad = tmp_path / "lax.json"
+        bad.write_text(text)
+        assert main(["decompose", "--kind", "t-svd", "--input", str(bad)]) == 2
+
     def test_rejects_negative_dimensions(self):
         with pytest.raises(ParseError, match="negative"):
             obj_to_matrix({"rows": -1, "cols": 1, "entries": []})

@@ -105,7 +105,23 @@ class TestSymEig:
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
 
 
+    def test_reads_only_the_symmetric_part(self, rng):
+        # A within tol of symmetric is decomposed as its symmetric part, so
+        # A and A^T give the same bits (eigh alone reads one triangle).
+        s = rng.standard_normal((5, 5))
+        a = s + s.T + 1e-12 * np.triu(rng.standard_normal((5, 5)), 1)
+        x, y = sym_eig(a), sym_eig(a.T)
+        assert np.array_equal(x.q, y.q) and np.array_equal(x.eigenvalues, y.eigenvalues)
+
+
 class TestSkewBlockDiag:
+    def test_reads_only_the_skew_part(self, rng):
+        # As for sym_eig: A and -A^T have the same skew part.
+        k = rng.standard_normal((5, 5))
+        a = k - k.T + 1e-12 * np.triu(rng.standard_normal((5, 5)), 1)
+        x, y = skew_block_diag(a), skew_block_diag(-a.T)
+        assert np.array_equal(x.q, y.q) and x.mus == y.mus
+
     def test_already_in_form(self):
         sb = skew_block_diag(np.array([[0.0, -2.0], [2.0, 0.0]]))
         assert sb.mus == pytest.approx([2.0])

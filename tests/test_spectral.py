@@ -17,7 +17,9 @@ from dualsvd import (
     sym_eig,
     t_spectral,
 )
+from dualsvd.spectral import block_matrix
 from conftest import (
+    block_matrix_loop,
     random_degenerate_hermitian,
     random_degenerate_symmetric,
     random_hermitian,
@@ -230,3 +232,45 @@ class TestEigenvalueMultiset:
             b = eigenvalue_multiset(decomp(conj))
             for (s1, p1), (s2, p2) in zip(a, b):
                 assert abs(s1 - s2) < 1e-8 and abs(p1 - p2) < 1e-8
+
+
+def every_cluster_kind(rng, n, flavor, exact):
+    """Eigenvalues with a 2-value and a 3-value cluster, singletons and a
+    zero cluster of two.  ``exact``: Q is a signed permutation, whose
+    repeated eigenvalues LAPACK returns exactly, so that cluster_tol = 0
+    still forms the clusters; otherwise Q is a random orthogonal matrix."""
+    d = np.concatenate([[4.0], [3.0] * 2, [2.0] * 3, np.linspace(1.5, 0.5, n - 8), [0.0] * 2])
+    if exact:
+        q = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal((n, n))
+    return DualMatrix(q @ np.diag(d) @ q.T, b + b.T if flavor == FLAVOR_T else b - b.T)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("exact, cluster_tol", [(True, 0.0), (True, 1e-8), (False, 1e-8)])
+def test_every_corrector_write(rng, flavor, n, exact, cluster_tol):
+    # One input reaches every write of the corrector: the division across
+    # clusters and the blocks of a 2-, a 3-value and a zero cluster.
+    m = every_cluster_kind(rng, n, flavor, exact)
+    if flavor == FLAVOR_T:
+        dec = t_spectral(m, cluster_tol=cluster_tol)
+        check_t(m, dec)
+        sigmas = [b.sigma for b in dec.blocks]
+        assert sigmas[1] == sigmas[2] and sigmas[3] == sigmas[4] == sigmas[5]
+        assert sigmas[-2] == sigmas[-1]
+    else:
+        dec = star_spectral(m, cluster_tol=cluster_tol)
+        check_star(m, dec)
+        # A generic B~ gives each cluster one rotation block.
+        sizes = [b.size for b in dec.blocks]
+        assert sizes[:4] == [1, 2, 2, 1] and sizes[-1] == 2
+    want = dec.sigma_matrix()
+    for sigma in (block_matrix(dec.blocks), block_matrix_loop(dec.blocks)):
+        assert np.array_equal(sigma.std, want.std)
+        assert np.array_equal(sigma.inf, want.inf)
+    for b in dec.blocks:
+        assert type(b.sigma) is float and type(b.sigma_prime) is float
+        assert type(b.size) is int

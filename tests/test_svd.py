@@ -25,7 +25,8 @@ from dualsvd import (
     t_polar,
     t_spectral,
 )
-from conftest import random_dual_matrix
+from dualsvd.spectral import block_matrix
+from conftest import block_matrix_loop, random_dual_matrix
 
 FLAVORS = (FLAVOR_T, FLAVOR_STAR)
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
@@ -296,6 +297,45 @@ class TestClusterStress:
         for _ in range(10):
             m = planted(rng, np.array(s), len(s))
             check_verifier_limits(m, svd(m, flavor))
+
+
+def every_cluster_kind(rng, n, exact):
+    """Singular values with a 2-value and a 3-value cluster, singletons and
+    a zero tail of two.  ``exact``: A is a shuffled diagonal, whose repeated
+    singular values LAPACK returns exactly, so that cluster_tol = 0 still
+    forms the clusters; otherwise A = Q1 diag(s) Q2^T."""
+    s = np.concatenate([[4.0], [3.0] * 2, [2.0] * 3, np.linspace(1.5, 0.5, n - 8), [0.0] * 2])
+    if not exact:
+        return planted(rng, s, n)
+    return DualMatrix(np.diag(rng.permutation(s)), rng.standard_normal((n, n)))
+
+
+class TestEveryCorrectorWrite:
+    """One input reaches every write of the first-order corrector: the
+    divisions across clusters, the blocks of a 2- and a 3-value cluster, the
+    singletons' diagonal and the zero cluster's block."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("exact, cluster_tol", [(True, 0.0), (True, 1e-8), (False, 1e-8)])
+    def test_planted_clusters_and_tail(self, rng, flavor, n, exact, cluster_tol):
+        m = every_cluster_kind(rng, n, exact)
+        r = svd(m, flavor, cluster_tol=cluster_tol)
+        check_svd(m, r)
+        sigmas = [b.sigma for b in r.blocks]
+        assert sigmas[-2:] == [0.0, 0.0]
+        if flavor == FLAVOR_T:
+            # Each cluster's values became their mean: exactly equal.
+            assert sigmas[1] == sigmas[2] and sigmas[3] == sigmas[4] == sigmas[5]
+        else:
+            # A generic B~ gives each cluster one rotation block.
+            assert [b.size for b in r.blocks][:4] == [1, 2, 2, 1]
+        for sigma in (block_matrix(r.blocks), block_matrix_loop(r.blocks)):
+            assert np.array_equal(sigma.std, r.sigma.std)
+            assert np.array_equal(sigma.inf, r.sigma.inf)
+        for b in r.blocks:
+            assert type(b.sigma) is float and type(b.sigma_prime) is float
+            assert type(b.size) is int
 
 
 class TestPolar:
