@@ -31,6 +31,7 @@ from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
     DualMatrix,
+    Flavor,
     adjoint,
     extend_orthonormal,
     form,
@@ -49,7 +50,6 @@ from .spectral import (
 )
 from .svd import (
     PolarResult,
-    SigmaBlock,
     SubspaceSplit,
     SvdResult,
     penrose_limits,
@@ -67,11 +67,11 @@ __all__ = [
     "Dual", "poly_eval", "EPS", "ONE", "ZERO",
     "DualMatrix", "adjoint", "form", "t_form", "star_form",
     "structure_residual", "gram_schmidt",
-    "extend_orthonormal", "FLAVOR_T", "FLAVOR_STAR",
+    "extend_orthonormal", "Flavor", "FLAVOR_T", "FLAVOR_STAR",
     "RealSpectral", "SkewBlockForm", "sym_eig", "skew_block_diag",
     "SpectralBlock", "SpectralDecomposition", "star_spectral", "t_spectral",
     "eigenvalue_multiset",
-    "SvdResult", "SigmaBlock", "SubspaceSplit", "PolarResult",
+    "SvdResult", "SubspaceSplit", "PolarResult",
     "svd", "svd_invertible", "split_subspaces", "t_polar", "pinv_t",
     "penrose_residuals", "penrose_limits",
     "LaguerreTransform", "LaguerreClassification", "apply_transform",

@@ -17,8 +17,8 @@ from .errors import DualLinAlgError, NotSquare, PreconditionViolation
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
 from .linalg import (
+    FLAVOR_STAR,
     FLAVOR_T,
-    ISOMETRY,
     DualMatrix,
     adjoint,
     require_square,
@@ -29,12 +29,12 @@ from .svd import penrose_limits, penrose_residuals, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
 KIND_FACTORS = {
-    "t-svd": ("T", ("u", "sigma", "v")),
-    "star-svd": ("star", ("u", "sigma", "v")),
-    "t-spectral": ("T", ("v", "sigma")),
-    "star-spectral": ("star", ("v", "sigma")),
-    "t-polar": ("T", ("u", "p")),
-    "pinv": ("T", ("pinv",)),
+    "t-svd": (FLAVOR_T, ("u", "sigma", "v")),
+    "star-svd": (FLAVOR_STAR, ("u", "sigma", "v")),
+    "t-spectral": (FLAVOR_T, ("v", "sigma")),
+    "star-spectral": (FLAVOR_STAR, ("v", "sigma")),
+    "t-polar": (FLAVOR_T, ("u", "p")),
+    "pinv": (FLAVOR_T, ("pinv",)),
 }
 KINDS = tuple(KIND_FACTORS)
 
@@ -50,10 +50,10 @@ def _load_matrix(path: str) -> DualMatrix:
 
 def _summary(r) -> dict:
     """The diagonal (T) or block (star) summary of an SVD or spectral result."""
-    if r.flavor == FLAVOR_T:
-        return {"diag": [[d.std, d.inf] for d in r.diag]}
-    # Block fields are Python numbers, so a block's fields are its JSON entry.
-    return {"blocks": [vars(b) for b in r.blocks]}
+    if r.flavor is FLAVOR_STAR:
+        # Block fields are Python numbers, so a block's fields are its JSON entry.
+        return {"blocks": [vars(b) for b in r.blocks]}
+    return {"diag": [[d.std, d.inf] for d in r.diag]}
 
 
 def _maxabs(a: np.ndarray, mask: np.ndarray) -> float:
@@ -88,18 +88,18 @@ def _invariants(m: DualMatrix, kind: str, f: dict, tol: float):
     lim = tol * m.norm()
     for name in ("u", "v"):
         if name in f:
-            yield f"{name}_structure", structure_residual(f[name], ISOMETRY[flavor]), tol
+            yield f"{name}_structure", structure_residual(f[name], flavor.isometry), tol
     if "p" in f:
         yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
         yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
     elif "sigma" in f:
         sigma = f["sigma"]
-        if flavor == FLAVOR_T:
-            yield "sigma_diagonal", _offdiag_residual(sigma), lim
-        else:
+        if flavor is FLAVOR_STAR:
             if "u" not in f:
                 yield "sigma_hermitian", structure_residual(sigma, "hermitian"), lim
             yield "sigma_block_form", _star_sigma_form_residual(sigma), lim
+        else:
+            yield "sigma_diagonal", _offdiag_residual(sigma), lim
         # U Sigma V^adj, or V Sigma V^adj for a spectral result.
         recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
         yield "reconstruction", (recon - m).norm(), lim
@@ -120,7 +120,7 @@ def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> di
         factors = {"u": r.u, "sigma": r.sigma, "v": r.v}
         doc["summary"] = _summary(r)
     elif kind.endswith("-spectral"):
-        r = (t_spectral if flavor == FLAVOR_T else star_spectral)(m, tol, cluster_tol)
+        r = (star_spectral if flavor is FLAVOR_STAR else t_spectral)(m, tol, cluster_tol)
         factors = {"v": r.v, "sigma": r.sigma_matrix()}
         doc["summary"] = _summary(r)
     elif kind == "t-polar":

@@ -4,15 +4,16 @@ dual QR: one LAPACK QR of the standard parts plus its first-order correction.
 A dual matrix A + eps*B is stored as the pair of real ndarrays (std, inf).
 It is the one representation of dual arrays: a dual vector is an n x 1
 matrix, and a set of k vectors is the n x k matrix of their columns.
-Two flavors of geometry run through the whole library:
-
-* flavor "T": the symmetric bilinear form (u, v) = u^T v,
-* flavor "star": the sesquilinear form <u, v> = u^T conj(v).
+Two flavors of geometry run through the whole library: ``Flavor.T``, with
+the bilinear form (u, v) = u^T v, and ``Flavor.STAR``, with the sesquilinear
+form <u, v> = u^T conj(v).  They differ only in the sign of the adjoint's
+infinitesimal part, (A^T, sign*B^T), mapped once at each public entry.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -20,23 +21,32 @@ from .dual import Dual
 from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput, NotSquare
 from .realspec import signed_qr
 
-FLAVOR_T = "T"
-FLAVOR_STAR = "star"
 
-# Structure kinds of each flavor's isometries and self-adjoint matrices.
-ISOMETRY = {FLAVOR_T: "t_orthogonal", FLAVOR_STAR: "unitary"}
-SELF_ADJOINT = {FLAVOR_T: "symmetric", FLAVOR_STAR: "hermitian"}
-_KIND_FLAVOR = {kind: f for table in (ISOMETRY, SELF_ADJOINT) for f, kind in table.items()}
+class Flavor(str, Enum):
+    """A flavor: its adjoint's ``sign`` and its ``isometry`` and ``self_adjoint``
+    structure kinds.  A member equals, prints and serializes as its string."""
+
+    T = ("T", 1.0, "t_orthogonal", "symmetric")
+    STAR = ("star", -1.0, "unitary", "hermitian")
+
+    def __new__(cls, value, sign, isometry, self_adjoint):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.sign, member.isometry, member.self_adjoint = sign, isometry, self_adjoint
+        return member
+
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+
+FLAVOR_T = Flavor.T
+FLAVOR_STAR = Flavor.STAR
+_FLAVOR_OF_KIND = {kind: f for f in Flavor for kind in (f.isometry, f.self_adjoint)}
 
 # Relative threshold below which a diagonal entry of R0 counts as dependent.
 INDEPENDENCE_TOL = 1e-10
 # Largest ||P^adj P - I|| of an orthonormal set: the CLI check's isometry limit.
 ORTHONORMAL_TOL = 1e-8
-
-
-def _check_flavor(flavor):
-    if flavor not in (FLAVOR_T, FLAVOR_STAR):
-        raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def require_square(m, what: str):
@@ -81,21 +91,6 @@ class DualMatrix:
             np.diag([d.std for d in entries]), np.diag([d.inf for d in entries])
         )
 
-    @staticmethod
-    def block_diag(mats) -> "DualMatrix":
-        mats = list(mats)
-        n = sum(m.shape[0] for m in mats)
-        c = sum(m.shape[1] for m in mats)
-        out = DualMatrix(np.zeros((n, c)))
-        i = j = 0
-        for m in mats:
-            r, s = m.shape
-            out.std[i : i + r, j : j + s] = m.std
-            out.inf[i : i + r, j : j + s] = m.inf
-            i += r
-            j += s
-        return out
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -104,9 +99,6 @@ class DualMatrix:
 
     def entry(self, i: int, j: int) -> Dual:
         return Dual(self.std[i, j], self.inf[i, j])
-
-    def submatrix(self, rows, cols) -> "DualMatrix":
-        return DualMatrix(self.std[np.ix_(rows, cols)], self.inf[np.ix_(rows, cols)])
 
     def copy(self) -> "DualMatrix":
         return DualMatrix(self.std.copy(), self.inf.copy())
@@ -133,10 +125,6 @@ class DualMatrix:
         return DualMatrix._of(
             self.std @ other.std, self.std @ other.inf + self.inf @ other.std
         )
-
-    def scale(self, s) -> "DualMatrix":
-        s = s if isinstance(s, Dual) else Dual(float(s))
-        return DualMatrix._of(s.std * self.std, s.std * self.inf + s.inf * self.std)
 
     @property
     def T(self) -> "DualMatrix":
@@ -185,9 +173,8 @@ def unit_scale(m: DualMatrix):
 
 
 def adjoint(m: DualMatrix, flavor: str) -> DualMatrix:
-    """The flavor-matched adjoint: transpose for T, star for star."""
-    _check_flavor(flavor)
-    return m.T if flavor == FLAVOR_T else m.star()
+    """The flavor-matched adjoint (A^T, sign*B^T): transpose for T, star for star."""
+    return DualMatrix._of(m.std.T, Flavor(flavor).sign * m.inf.T)
 
 
 # -- forms ------------------------------------------------------------------
@@ -206,8 +193,9 @@ def star_form(u: DualMatrix, v: DualMatrix) -> DualMatrix:
 
 
 def form(u: DualMatrix, v: DualMatrix, flavor: str) -> DualMatrix:
-    _check_flavor(flavor)
-    return t_form(u, v) if flavor == FLAVOR_T else star_form(u, v)
+    """The flavor's form between the columns of u and of v: u^T times v with
+    its infinitesimal part times the flavor's sign."""
+    return u.T @ DualMatrix._of(v.std, Flavor(flavor).sign * v.inf)
 
 
 # -- structural predicates ---------------------------------------------------
@@ -216,11 +204,11 @@ def form(u: DualMatrix, v: DualMatrix, flavor: str) -> DualMatrix:
 def structure_residual(m: DualMatrix, kind: str) -> float:
     """Residual of a structural identity, as an entrywise-max norm."""
     require_square(m, "structure check")
-    if kind not in _KIND_FLAVOR:
+    flavor = _FLAVOR_OF_KIND.get(kind)
+    if flavor is None:
         raise ValueError(f"unknown structure kind {kind!r}")
-    flavor = _KIND_FLAVOR[kind]
     adj = adjoint(m, flavor)
-    if kind in SELF_ADJOINT.values():
+    if kind == flavor.self_adjoint:
         return (m - adj).norm()
     # M^adj M and M M^adj = (M^adj)^adj M^adj.
     return np.maximum(_gram_defect(m, flavor), _gram_defect(adj, flavor))
@@ -237,11 +225,11 @@ def _gram_defect(p: DualMatrix, flavor: str) -> float:
 # -- Gram-Schmidt by dual QR --------------------------------------------------
 
 
-def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: str, floor: float):
+def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: Flavor, floor: float):
     """Q with A = Q R, Q orthonormal under the form, R upper triangular with
     diag(R0) > 0 and (star) diag(R) real.  With A0 = Q0 R0, C = Q0^T A1 R0^-1
     and L its strict lower triangle, Q1 = Q0 X + (I - Q0 Q0^T) A1 R0^-1, where
-    X = L - L^T (T) or L + L^T + diag(C) (star).  DegenerateInput if there
+    X = L - sign*L^T, plus diag(C) for star.  DegenerateInput if there
     are more columns than rows or an entry of diag(R0) is not above ``floor``."""
     q0, r0 = signed_qr(a0)
     if r0.shape[0] < r0.shape[1] or not np.diag(r0).min() > floor:
@@ -249,7 +237,9 @@ def _dual_qr(a0: np.ndarray, a1: np.ndarray, flavor: str, floor: float):
     a1r = np.linalg.solve(r0.T, a1.T).T  # A1 R0^-1
     c = q0.T @ a1r
     low = np.tril(c, -1)
-    x = low - low.T if flavor == FLAVOR_T else low + low.T + np.diag(np.diag(c))
+    x = low - flavor.sign * low.T
+    if flavor is FLAVOR_STAR:
+        x += np.diag(np.diag(c))
     return DualMatrix._of(q0, q0 @ (x - c) + a1r)
 
 
@@ -259,7 +249,7 @@ def gram_schmidt(a: DualMatrix, flavor: str) -> DualMatrix:
     diagonal entry of R0 collapses: the columns are then not linearly
     independent over the duals.
     """
-    _check_flavor(flavor)
+    flavor = Flavor(flavor)
     nrm = _finite_norm(a)
     if not a.shape[1]:
         return a.copy()
@@ -270,13 +260,12 @@ def extend_orthonormal(p: DualMatrix, flavor: str) -> DualMatrix:
     """Extend the orthonormal columns of the n x k matrix P, kept as they
     are, to an n x n isometry; DegenerateInput if ||P^adj P - I|| exceeds
     ``ORTHONORMAL_TOL``.  The new columns are W0 + eps*W1: W0 the trailing
-    columns of a complete ``signed_qr`` of P0, and W1 = -P0 (P1^T W0) for T,
-    +P0 (P1^T W0) for star, so that they are orthonormal and orthogonal to P."""
-    _check_flavor(flavor)
+    columns of a complete ``signed_qr`` of P0, and W1 = -sign*P0 (P1^T W0), so
+    that they are orthonormal and orthogonal to P."""
+    flavor = Flavor(flavor)
     _finite_norm(p)
     if not _gram_defect(p, flavor) <= ORTHONORMAL_TOL:
         raise DegenerateInput("partial basis is not orthonormal under the form")
     w0 = signed_qr(p.std, mode="complete")[0][:, p.shape[1] :]
-    w1 = p.std @ (p.inf.T @ w0)
-    w1 = -w1 if flavor == FLAVOR_T else w1
+    w1 = -flavor.sign * (p.std @ (p.inf.T @ w0))
     return DualMatrix._of(np.hstack([p.std, w0]), np.hstack([p.inf, w1]))

@@ -1,18 +1,19 @@
 """Spectral decompositions of Hermitian / symmetric dual matrices.
 
 For M = A + eps*B, one real eigendecomposition A = Q0 D Q0^T fixes the
-standard parts and B~ = Q0^T B Q0.  ``_cluster_runs`` groups near-equal
-values by one rule, for the eigenvalues d here and the singular values s of
-the SVD: neighbours at most cluster_tol*||M|| apart form one (start, stop)
-run.  ``resolve_clusters``, the one pass over clusters, gives each run the
-mean of its values and resolves its block of B~ by a real rotation; it
-returns the canonical middle factor as the per-index arrays (sigma, sigma',
-size) that a result holds, and from which its blocks (size 1 for T; 2x2
-rotation and scalar blocks for star) and its matrix are built when read.
+standard parts and B~ = (C + sign*C^T)/2 for C = Q0^T B Q0.  ``_cluster_runs``
+groups near-equal values by one rule, for the eigenvalues d here and the
+singular values s of the SVD: neighbours at most cluster_tol*||M|| apart
+form one (start, stop) run.  ``resolve_clusters``, the one pass over
+clusters, gives each run the mean of its values and resolves its block of
+B~ by a real rotation; it returns the canonical middle factor as the
+per-index arrays (sigma, sigma', size) that a result holds, and from which
+its blocks (size 1 for T; 2x2 rotation and scalar blocks for star) and its
+matrix are built when read.
 The rest of B~ is absorbed by V = Q0 (I + eps*Omega), Omega_ab = B~_ab /
-(d_b - d_a) across clusters, by one division with 1 in the denominator
-inside clusters; Omega is skew (T) or symmetric (star), so V is an exact
-isometry as eps**2 = 0.  Inputs are first scaled by a power of two.
+(d_b - d_a) across clusters (``_divide_across``, shared with the SVD);
+Omega is skew (T) or symmetric (star), so V is an exact isometry as
+eps**2 = 0.  Inputs are first scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import NotHermitian, NotSymmetric
 from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
-    SELF_ADJOINT,
     DualMatrix,
+    Flavor,
     require_square,
     structure_residual,
     unit_scale,
@@ -83,7 +84,7 @@ class HeldMiddle:
     @property
     def diag(self) -> list | None:
         """A T middle factor's diagonal as Dual entries; None for star."""
-        if self.flavor != FLAVOR_T:
+        if self.flavor is FLAVOR_STAR:
             return None
         return [Dual(*d) for d in zip(self.middle[0].tolist(), self.middle[1].tolist())]
 
@@ -93,7 +94,7 @@ class SpectralDecomposition(HeldMiddle):
     """M = v Sigma v*  (star flavor)  or  M = v D v^T  (T flavor)."""
 
     v: DualMatrix
-    flavor: str
+    flavor: Flavor
     middle: tuple
 
     def sigma_matrix(self) -> DualMatrix:
@@ -125,25 +126,35 @@ def _fill_clusters(a: np.ndarray, runs, value: float):
         a[i:j, i:j] = value
 
 
-def resolve_clusters(vals, runs, bt, flavor: str, scale: float, *isos):
+def _divide_across(x: np.ndarray, vals: np.ndarray, runs, op=np.subtract) -> np.ndarray:
+    """x_ij / op(v_j, v_i), by default x_ij / (v_j - v_i), across clusters;
+    0 on the diagonal and in runs."""
+    den = op(vals, vals[:, None])
+    _fill_clusters(den, runs, 1.0)
+    out = x / den
+    _fill_clusters(out, runs, 0.0)
+    return out
+
+
+def resolve_clusters(vals, runs, bt, flavor: Flavor, scale: float, *isos):
     """The one pass over clusters: it decides the canonical middle factor.
 
     Each run (i, j) of ``_cluster_runs`` takes the mean of vals[i:j], in
-    place; a real rotation q resolves its block b = bt[i:j, i:j] (T: q^T sym(b)
-    q diagonal; star: q^T skew(b) q in 2x2 rotation blocks and zeros) and turns
-    bt and the columns i:j of each isometry in ``isos``.  Per index of bt,
-    returns the block parameter sp and size (0 inside a 2x2 block): a
-    singleton's T parameter is its diagonal entry of bt, its star one 0.
+    place; a real rotation q resolves the part b = (B + sign*B^T)/2 of its
+    block B = bt[i:j, i:j] (T: q^T b q diagonal; star: q^T b q in 2x2
+    rotation blocks and zeros) and turns bt and the columns i:j of each
+    isometry in ``isos``.  Per index of bt, returns the block parameter sp
+    and size (0 inside a 2x2 block): a singleton's T parameter is its
+    diagonal entry of bt, its star one 0.
     """
-    star = flavor == FLAVOR_STAR
+    star = flavor is FLAVOR_STAR
     size = np.ones(len(bt), dtype=int)
     sp = np.zeros(len(bt)) if star else bt.diagonal().copy()
     for i, j in runs:
         idx = slice(i, j)
         vals[idx] = vals[idx].mean()
-        b = bt[idx, idx]
+        b = 0.5 * (bt[idx, idx] + flavor.sign * bt[idx, idx].T)
         if star:
-            b = 0.5 * (b - b.T)
             # Rotation parameters below 1e-9 of the matrix scale collapse to
             # scalar blocks, not near-boundary 2x2 blocks: skew_block_diag's
             # cutoff is tol*max|b| (the bound keeps a zero block's tol finite).
@@ -153,7 +164,7 @@ def resolve_clusters(vals, runs, bt, flavor: str, scale: float, *isos):
             sp[i : i + 2 * p : 2] = sb.mus
             size[i : i + 2 * p] = [2, 0] * p
         else:
-            es = sym_eig(0.5 * (b + b.T), check=False)
+            es = sym_eig(b, check=False)
             q, sp[idx] = es.q, es.eigenvalues
         for iso in isos:
             iso[:, idx] = iso[:, idx] @ q
@@ -162,29 +173,25 @@ def resolve_clusters(vals, runs, bt, flavor: str, scale: float, *isos):
     return sp, size
 
 
-def _decompose(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
+def _decompose(m: DualMatrix, flavor: Flavor, error, tol: float, cluster_tol: float):
     require_square(m, "spectral decomposition")
     m, c, scale = unit_scale(m)
-    if structure_residual(m, SELF_ADJOINT[flavor]) > tol * scale:
-        error = NotHermitian if flavor == FLAVOR_STAR else NotSymmetric
-        raise error(f"matrix is not {SELF_ADJOINT[flavor]} within tolerance")
+    if structure_residual(m, flavor.self_adjoint) > tol * scale:
+        raise error(f"matrix is not {flavor.self_adjoint} within tolerance")
 
     spec = sym_eig(0.5 * (m.std + m.std.T), check=False)
     q0, d = spec.q, spec.eigenvalues
     # B~ is symmetric (T) or skew (star), so that Omega below is exactly
     # skew or symmetric.
     bt = q0.T @ m.inf @ q0
-    bt = 0.5 * (bt + bt.T if flavor == FLAVOR_T else bt - bt.T)
+    bt = 0.5 * (bt + flavor.sign * bt.T)
     # Clusters take their mean value (D = d I on each) before Omega divides.
     runs = _cluster_runs(d, cluster_tol * scale)
     sp, size = resolve_clusters(d, runs, bt, flavor, scale, q0)
 
     # M = V Sigma V^adj with V = Q0 (I + eps*Omega): across clusters
     # B~_ab = Omega_ab (d_b - d_a), and inside a cluster Omega_ab = 0.
-    den = d - d[:, None]
-    _fill_clusters(den, runs, 1.0)
-    omega = bt / den
-    _fill_clusters(omega, runs, 0.0)
+    omega = _divide_across(bt, d, runs)
     return SpectralDecomposition(DualMatrix._of(q0, q0 @ omega), flavor, (c * d, c * sp, size))
 
 
@@ -192,11 +199,11 @@ def star_spectral(
     m: DualMatrix, tol: float = 1e-8, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> SpectralDecomposition:
     """Decompose a Hermitian dual matrix as M = V Sigma V* with unitary V."""
-    return _decompose(m, FLAVOR_STAR, tol, cluster_tol)
+    return _decompose(m, FLAVOR_STAR, NotHermitian, tol, cluster_tol)
 
 
 def t_spectral(
     m: DualMatrix, tol: float = 1e-8, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> SpectralDecomposition:
     """Decompose a symmetric dual matrix as M = V D V^T with T-orthogonal V."""
-    return _decompose(m, FLAVOR_T, tol, cluster_tol)
+    return _decompose(m, FLAVOR_T, NotSymmetric, tol, cluster_tol)

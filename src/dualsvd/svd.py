@@ -9,10 +9,11 @@ clustered on s by the spectral decompositions' rule, as runs of neighbours
 at most cluster_tol*||M|| apart.  In B~ = U0^T B V0, the one cluster pass,
 ``resolve_clusters``, resolves the runs and gives the middle factor as
 per-index arrays; when k < n, a real SVD resolves the zero cluster's block.
-The rest of B~ is absorbed by a first-order corrector, one division with 1
-in the denominator inside clusters: U = U0 (I + eps*Omega_U) and V = V0 (I +
-eps*Omega_V), with Omega skew (T) or symmetric (star), are exact isometries
-as eps**2 = 0.  Sigma, blocks and residual are built when they are read.
+The rest of B~ is absorbed by U = U0 (I + eps*Omega_U) and V = V0 (I +
+eps*Omega_V), with Omega skew (T) or symmetric (star): exact isometries as
+eps**2 = 0.  Across clusters Omega = H/(s_j - s_i) +- K/(s_j + s_i), the SVD
+Jacobian of Papadopoulo & Lourakis (ECCV 2000), for the parts H = (B~ +
+sign*B~^T)/2 and K = B~ - H.  Sigma, blocks and residual are built when read.
 """
 
 from __future__ import annotations
@@ -22,28 +23,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertible, VerificationError
-from .linalg import FLAVOR_STAR, FLAVOR_T, DualMatrix, adjoint, require_square, unit_scale
+from .linalg import FLAVOR_T, DualMatrix, Flavor, adjoint, require_square, unit_scale
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     HeldMiddle,
-    SpectralBlock,
     _cluster_runs,
-    _fill_clusters,
+    _divide_across,
     middle_matrix,
     resolve_clusters,
 )
 
 DEFAULT_SPLIT_TOL = 1e-8
 
-# The SVD middle factor has the same blocks as a spectral Sigma.
-SigmaBlock = SpectralBlock
-
 
 @dataclass
 class SvdResult(HeldMiddle):
     u: DualMatrix
     v: DualMatrix
-    flavor: str
+    flavor: Flavor
     middle: tuple
     m: DualMatrix  # the decomposed matrix
 
@@ -79,6 +76,7 @@ class PolarResult:
 def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float, scaled=None):
     """The SVD of ``m`` and its number k of appreciable singular values;
     ``scaled`` is ``unit_scale(m)`` if the caller has it."""
+    flavor = Flavor(flavor)
     require_square(m, "svd")
     ms, c, scale = scaled or unit_scale(m)
     n = m.shape[0]
@@ -101,27 +99,18 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float, scaled=None
         delta[delta <= 1e-12 * scale] = 0.0
         sp[tail] = delta
 
-    # B~ = Omega_U S + D - S Omega_V.  Across clusters D = 0 and the pair
-    # (i, j), (j, i) is a 2x2 system with determinant s_j^2 - s_i^2 and
-    # numerators B~_ij s_j - f s_i B~_ji (Omega_U), s_i B~_ij - f B~_ji s_j
-    # (Omega_V): one division, with 1 in the denominator inside clusters.
-    # Inside an appreciable cluster S = s I, and Omega_U takes the part of B~
-    # that D cannot hold; inside the zero cluster S = 0 and D takes all of it.
-    f = 1.0 if flavor == FLAVOR_STAR else -1.0
+    # B~ = Omega_U S + D - S Omega_V with Omega^T = -sign*Omega.  Across
+    # clusters D = 0, H = (Omega_U + Omega_V)(s_j - s_i)/2 and K = (Omega_U -
+    # Omega_V)(s_j + s_i)/2.  Inside an appreciable cluster S = s I, Omega_V = 0
+    # and Omega_U = K/s; inside the zero cluster S = 0 and D takes all of B~.
+    h_part = 0.5 * (bt + flavor.sign * bt.T)
+    k_part = bt - h_part
     same = [*runs, (k, n)]
-    s2 = s**2
-    den = s2 - s2[:, None]
-    _fill_clusters(den, same, 1.0)
-    bs, sb = bt * s, s[:, None] * bt
-    om_u = (bs - f * bs.T) / den
-    om_v = (sb - f * sb.T) / den
-    _fill_clusters(om_v, same, 0.0)
-    om_u[k:, k:] = 0.0
-    d = bt.diagonal()[:k]
-    om_u.flat[: k * (n + 1) : n + 1] = 0.5 * (d + f * d) / s[:k]
+    om_h, om_k = _divide_across(h_part, s, same), _divide_across(k_part, s, same, np.add)
+    om_u, om_v = om_h + om_k, om_h - om_k
+    om_u.flat[: k * (n + 1) : n + 1] = k_part.diagonal()[:k] / s[:k]
     for i, j in runs:
-        b = bt[i:j, i:j]
-        om_u[i:j, i:j] = 0.5 * (b + f * b.T) / s[i:j, None]
+        om_u[i:j, i:j] = k_part[i:j, i:j] / s[i:j, None]
 
     u = DualMatrix._of(u0, u0 @ om_u)
     v = DualMatrix._of(v0, v0 @ om_v)

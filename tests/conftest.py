@@ -103,6 +103,29 @@ def block_matrix_loop(blocks) -> DualMatrix:
     return out
 
 
+def corrector_loop(bt, s, flavor):
+    """The SVD's first-order corrector (Omega_U, Omega_V), entry by entry:
+    the reference that the library's kernel is compared against.  B~ = bt is
+    resolved in its clusters, whose singular values s are exactly equal.
+    Across clusters the pair (i, j), (j, i) is a 2x2 system with determinant
+    s_j^2 - s_i^2 and numerators B~_ij s_j - f B~_ji s_i (Omega_U) and
+    s_i B~_ij - f B~_ji s_j (Omega_V), f = -1 for T and +1 for star.  Inside
+    an appreciable cluster Omega_U = (B~_ij + f B~_ji) / (2 s_i) and
+    Omega_V = 0; inside the zero cluster both are 0."""
+    f = 1.0 if flavor == "star" else -1.0
+    n = len(s)
+    om_u, om_v = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if s[i] != s[j]:
+                det = s[j] ** 2 - s[i] ** 2
+                om_u[i, j] = (bt[i, j] * s[j] - f * bt[j, i] * s[i]) / det
+                om_v[i, j] = (s[i] * bt[i, j] - f * bt[j, i] * s[j]) / det
+            elif s[i] > 0.0:
+                om_u[i, j] = 0.5 * (bt[i, j] + f * bt[j, i]) / s[i]
+    return om_u, om_v
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,6 +1,8 @@
 """Dual matrices, the two forms, structure checks and Gram-Schmidt.  A set
 of k dual vectors in D^n is the n x k matrix of their columns."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,17 @@ from dualsvd import (
     DimensionMismatch,
     Dual,
     DualMatrix,
+    Flavor,
     NonFiniteInput,
     adjoint,
     extend_orthonormal,
     form,
     gram_schmidt,
+    split_subspaces,
     star_form,
     structure_residual,
+    svd,
+    svd_invertible,
     t_form,
 )
 from conftest import random_vectors
@@ -63,17 +69,9 @@ class TestMatrixOps:
         assert DualMatrix([[3.0], [4.0]], [[1.0], [0.0]]).shape == (2, 1)
 
     def test_scale_and_entry(self):
-        m = DualMatrix([[2.0]], [[3.0]]).scale(Dual(0, 1))
+        m = DualMatrix([[2.0]], [[3.0]]) @ DualMatrix([[0.0]], [[1.0]])
         # (2+3e)*e = 2e
         assert m.entry(0, 0) == Dual(0, 2)
-
-    def test_block_diag_and_submatrix(self, rng):
-        a = DualMatrix(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
-        b = DualMatrix(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
-        big = DualMatrix.block_diag([a, b])
-        assert (big.submatrix([0, 1], [0, 1]) - a).norm() == 0.0
-        assert (big.submatrix([2, 3, 4], [2, 3, 4]) - b).norm() == 0.0
-        assert np.abs(big.std[:2, 2:]).max() == 0.0
 
     def test_adjoint_flavors(self, rng):
         m = DualMatrix(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
@@ -89,6 +87,39 @@ class TestMatrixOps:
         inf = np.array([[1.0, 0.0], [0.0, 0.1]])
         (std if part == "std" else inf)[1, 1] = np.nan
         assert np.isnan(DualMatrix(std, inf).norm())
+
+
+class TestFlavor:
+    def test_members_print_as_their_strings(self):
+        assert str(FLAVOR_T) == "T" and f"{FLAVOR_STAR}" == "star"
+        assert f"{FLAVOR_T:>3}" == "  T" and "%s" % FLAVOR_STAR == "star"
+        assert json.dumps(FLAVOR_STAR) == '"star"'
+        assert json.dumps({"flavor": FLAVOR_T}) == '{"flavor": "T"}'
+
+    def test_lookup_by_string(self):
+        assert Flavor("T") is FLAVOR_T and Flavor("star") is FLAVOR_STAR
+        assert Flavor(FLAVOR_STAR) is FLAVOR_STAR
+        assert FLAVOR_T == "T" and FLAVOR_STAR == "star"
+
+    def test_members_carry_sign_and_kinds(self):
+        assert (FLAVOR_T.sign, FLAVOR_T.isometry, FLAVOR_T.self_adjoint) == (
+            1.0, "t_orthogonal", "symmetric")
+        assert (FLAVOR_STAR.sign, FLAVOR_STAR.isometry, FLAVOR_STAR.self_adjoint) == (
+            -1.0, "unitary", "hermitian")
+
+    def test_result_flavor_is_the_member(self):
+        r = svd(DualMatrix.identity(2), "star")
+        assert r.flavor == "star" and r.flavor is FLAVOR_STAR
+
+    @pytest.mark.parametrize("flavor", ["Star", "t", "STAR", "", None])
+    @pytest.mark.parametrize("entry", [
+        svd, svd_invertible, split_subspaces, adjoint, gram_schmidt, extend_orthonormal,
+        lambda m, flavor: form(m, m, flavor),
+    ], ids=["svd", "svd_invertible", "split_subspaces", "adjoint", "gram_schmidt",
+            "extend_orthonormal", "form"])
+    def test_unknown_flavor_raises(self, entry, flavor):
+        with pytest.raises(ValueError):
+            entry(DualMatrix.identity(2), flavor)
 
 
 def vec(std, inf=None):
@@ -272,7 +303,7 @@ class TestExtend:
         first = gram_schmidt(vec([1, 0], [1, 0]), FLAVOR_STAR)
         out = extend_orthonormal(first, FLAVOR_STAR)
         assert out.shape == (2, 2)
-        w = out.submatrix([0, 1], [1])
+        w = DualMatrix(out.std[:, 1:], out.inf[:, 1:])
         assert star_form(w, first).norm() < 1e-12
         assert (star_form(w, w) - DualMatrix.identity(1)).norm() < 1e-12
 
@@ -284,7 +315,7 @@ class TestExtend:
                 vs = gram_schmidt(random_vectors(rng, n, k), flavor)
                 out = extend_orthonormal(vs, flavor)
                 assert out.shape == (n, n)
-                assert (out.submatrix(range(n), range(k)) - vs).norm() == 0.0
+                assert (DualMatrix(out.std[:, :k], out.inf[:, :k]) - vs).norm() == 0.0
                 assert structure_residual(out, kind) < 1e-10
 
     @pytest.mark.parametrize("flavor", FLAVORS)

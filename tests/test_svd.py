@@ -10,7 +10,7 @@ from dualsvd import (
     Dual,
     DualMatrix,
     NotInvertible,
-    SigmaBlock,
+    SpectralBlock,
     adjoint,
     eigenvalue_multiset,
     form,
@@ -26,7 +26,7 @@ from dualsvd import (
     t_spectral,
 )
 from dualsvd.spectral import block_matrix
-from conftest import block_matrix_loop, random_dual_matrix
+from conftest import block_matrix_loop, corrector_loop, random_dual_matrix
 
 FLAVORS = (FLAVOR_T, FLAVOR_STAR)
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
@@ -207,7 +207,7 @@ def squared_multiset(r):
     """Eigenvalue multiset of Sigma^adj Sigma: a block sigma + eps*sigma'
     squares to sigma^2 + eps*2*sigma*sigma'."""
     if r.flavor == FLAVOR_T:
-        blocks = [SigmaBlock(d.std, d.inf, 1) for d in r.diag]
+        blocks = [SpectralBlock(d.std, d.inf, 1) for d in r.diag]
     else:
         blocks = r.blocks
     pairs = []
@@ -336,6 +336,13 @@ class TestEveryCorrectorWrite:
         for b in r.blocks:
             assert type(b.sigma) is float and type(b.sigma_prime) is float
             assert type(b.size) is int
+        # U1 = U0 Omega_U and V1 = V0 Omega_V against the entry-by-entry
+        # reference, with B~ = U0^T B V0 read back from the result.
+        bt = r.u.std.T @ m.inf @ r.v.std
+        om_u, om_v = corrector_loop(bt, r.middle[0], flavor)
+        for iso, om in ((r.u, om_u), (r.v, om_v)):
+            want = iso.std @ om
+            assert np.abs(iso.inf - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestPolar:
