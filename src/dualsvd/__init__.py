@@ -17,6 +17,7 @@ from .errors import (
     NotSkewSymmetric,
     NotSquare,
     NotSymmetric,
+    OutOfRange,
     PoleAt,
     PreconditionViolation,
     VerificationError,
@@ -78,5 +79,5 @@ __all__ = [
     "classify_transform",
     "DualLinAlgError", "PreconditionViolation", "DimensionMismatch", "NotSquare", "NotSymmetric",
     "NotSkewSymmetric", "NotHermitian", "NotInvertible", "NoSquareRoot",
-    "DegenerateInput", "NonFiniteInput", "PoleAt", "VerificationError",
+    "DegenerateInput", "NonFiniteInput", "OutOfRange", "PoleAt", "VerificationError",
 ]

@@ -51,3 +51,8 @@ class VerificationError(DualLinAlgError):
 
 class NonFiniteInput(PreconditionViolation):
     """An input matrix has a NaN or infinite entry."""
+
+
+class OutOfRange(PreconditionViolation):
+    """float64 cannot hold the input's scale or a result at it: 0 < ||M|| is
+    below the smallest normal number, or a pseudoinverse overflows."""

@@ -13,12 +13,13 @@ infinitesimal part, (A^T, sign*B^T), mapped once at each public entry.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 import numpy as np
 
 from .dual import Dual
-from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput, NotSquare
+from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput, NotSquare, OutOfRange
 from .realspec import signed_qr
 
 
@@ -158,7 +159,8 @@ def _finite_norm(m: DualMatrix) -> float:
 
 def unit_scale(m: DualMatrix):
     """(M / c, c, ||M / c||) for the power of two c with ||M / c|| in [1, 2);
-    (M, 1, 0) for the zero matrix.
+    (M, 1, 0) for the zero matrix; OutOfRange if 0 < ||M|| is below the
+    smallest normal number, where results scaled back by c lose precision.
 
     Dividing by c is exact, so an entry point that decomposes M / c and
     scales its results back by c is scale-equivariant for powers of two.
@@ -166,6 +168,8 @@ def unit_scale(m: DualMatrix):
     nrm = _finite_norm(m)
     if not nrm:
         return m, 1.0, 0.0
+    if nrm < sys.float_info.min:
+        raise OutOfRange(f"||M|| = {nrm:.3e} is below the smallest normal float64")
     c = math.ldexp(1.0, math.frexp(nrm)[1] - 1)
     if c == 1.0:
         return m, c, nrm
@@ -207,9 +211,9 @@ def structure_residual(m: DualMatrix, kind: str) -> float:
     flavor = _FLAVOR_OF_KIND.get(kind)
     if flavor is None:
         raise ValueError(f"unknown structure kind {kind!r}")
-    adj = adjoint(m, flavor)
     if kind == flavor.self_adjoint:
-        return (m - adj).norm()
+        return np.abs((m.std - m.std.T, m.inf - flavor.sign * m.inf.T)).max(initial=0.0)
+    adj = adjoint(m, flavor)
     # M^adj M and M M^adj = (M^adj)^adj M^adj.
     return np.maximum(_gram_defect(m, flavor), _gram_defect(adj, flavor))
 

@@ -51,8 +51,7 @@ def _first_sizeable(q: np.ndarray) -> np.ndarray:
     """Each column's first component of meaningful size."""
     if not q.size:
         return np.zeros(q.shape[1], q.dtype)
-    cols = np.arange(q.shape[1])
-    return q[np.argmax(np.abs(q) > 1e-12, axis=0), cols]
+    return q[(np.abs(q) > 1e-12).argmax(0), np.arange(q.shape[1])]
 
 
 def _positive_signs(q: np.ndarray) -> np.ndarray:
@@ -66,7 +65,7 @@ def signed_qr(a: np.ndarray, mode: str = "reduced"):
     space) are signed by ``_positive_signs``, so the completion is canonical."""
     q, r = np.linalg.qr(a, mode=mode)
     k = a.shape[1]
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+    signs = np.where(r.diagonal() < 0, -1.0, 1.0)
     q[:, :k] *= signs
     r[:k] *= signs[:, None]
     q[:, k:] = _positive_signs(q[:, k:])
@@ -75,14 +74,16 @@ def signed_qr(a: np.ndarray, mode: str = "reduced"):
 
 def sym_eig(a, tol: float = 1e-9, check: bool = True) -> RealSpectral:
     """Orthogonally diagonalize a real symmetric matrix.  NotSymmetric if
-    max|a - a^T| exceeds ``tol`` times max|a|.  ``check=False`` takes a float
-    array that is symmetric by construction as it is."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"matrix is not square: {a.shape}")
-    if check and not _maxabs(a - a.T) <= tol * _maxabs(a) < math.inf:  # NaN, inf fail
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    eigenvalues, q = np.linalg.eigh(0.5 * (a + a.T) if check else a)
+    max|a - a^T| exceeds ``tol`` times max|a|.  ``check=False`` takes a square
+    float ndarray that is symmetric as built, as it is."""
+    if check:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        if a.shape[0] != a.shape[1]:
+            raise NotSymmetric(f"matrix is not square: {a.shape}")
+        if not _maxabs(a - a.T) <= tol * _maxabs(a) < math.inf:  # NaN, inf fail
+            raise NotSymmetric("matrix is not symmetric within tolerance")
+        a = 0.5 * (a + a.T)
+    eigenvalues, q = np.linalg.eigh(a)
     order = np.argsort(-eigenvalues, kind="stable")
     return RealSpectral(_positive_signs(q[:, order]), eigenvalues[order])
 
@@ -90,24 +91,24 @@ def sym_eig(a, tol: float = 1e-9, check: bool = True) -> RealSpectral:
 def skew_block_diag(a, tol: float = 1e-9, check: bool = True) -> SkewBlockForm:
     """Orthogonally block-diagonalize a real skew-symmetric matrix.  Above
     ``tol`` times max|a|, max|a + a^T| raises NotSkewSymmetric; at or below it, mu is zero.
-    ``check=False`` takes a float array that is skew by construction as it is."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise NotSkewSymmetric(f"matrix is not square: {a.shape}")
+    ``check=False`` takes a square float ndarray that is skew as built, as it is."""
+    if check:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        if a.shape[0] != a.shape[1]:
+            raise NotSkewSymmetric(f"matrix is not square: {a.shape}")
     limit = tol * _maxabs(a)
     if check and not _maxabs(a + a.T) <= limit < math.inf:  # NaN, inf fail
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-
+    n = len(a)
     mus, z = np.linalg.eigh(1j * (0.5 * (a - a.T) if check else a))
     # The eigenvalues come in pairs +-mu; keep the positive ones, descending.
     p = min(int(np.count_nonzero(mus > limit)), n // 2)
     mus, z = mus[::-1][:p], z[:, ::-1][:, :p]
-    # Turn each z so that its first sizeable component is real and positive.
+    # Turn each z so that its first sizeable component is real and positive;
+    # the product is C-contiguous, so its float view interleaves (Re z, Im z).
     lead = _first_sizeable(z)
-    z = z * (np.abs(lead) / lead)
-    pairs = np.stack([z.real, z.imag], axis=2).reshape(n, 2 * p)
+    pairs = (z * (np.abs(lead) / lead)).view(float)
     # One QR makes the pairs exactly orthonormal (they are so to ~eps/mu)
     # and completes them with a basis of the kernel.
     q = signed_qr(pairs, mode="complete")[0]
-    return SkewBlockForm(q, [float(mu) for mu in mus], n - 2 * p)
+    return SkewBlockForm(q, mus.tolist(), n - 2 * p)

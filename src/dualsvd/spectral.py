@@ -112,11 +112,14 @@ def eigenvalue_multiset(d: SpectralDecomposition):
 def _cluster_runs(vals: np.ndarray, limit: float) -> list:
     """The (start, stop) runs of two or more neighbours of a descending real
     sequence that differ by at most the absolute ``limit``: its clusters."""
-    close = vals[:-1] - vals[1:] <= limit
-    if not close.any():
-        return []
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], close, [0])))).tolist()
-    return [(i, j + 1) for i, j in zip(edges[::2], edges[1::2])]
+    v = vals.tolist()
+    runs, start = [], 0
+    for i in range(1, len(v) + 1):
+        if i == len(v) or not v[i - 1] - v[i] <= limit:
+            if i - start > 1:
+                runs.append((start, i))
+            start = i
+    return runs
 
 
 def _fill_clusters(a: np.ndarray, runs, value: float):
@@ -152,7 +155,7 @@ def resolve_clusters(vals, runs, bt, flavor: Flavor, scale: float, *isos):
     sp = np.zeros(len(bt)) if star else bt.diagonal().copy()
     for i, j in runs:
         idx = slice(i, j)
-        vals[idx] = vals[idx].mean()
+        vals[idx] = vals[idx].sum() / (j - i)
         b = 0.5 * (bt[idx, idx] + flavor.sign * bt[idx, idx].T)
         if star:
             # Rotation parameters below 1e-9 of the matrix scale collapse to

@@ -18,11 +18,12 @@ sign*B~^T)/2 and K = B~ - H.  Sigma, blocks and residual are built when read.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertible, VerificationError
+from .errors import NotInvertible, OutOfRange, VerificationError
 from .linalg import FLAVOR_T, DualMatrix, Flavor, adjoint, require_square, unit_scale
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -150,9 +151,12 @@ def svd(
 def t_polar(m: DualMatrix) -> PolarResult:
     """M = U P with U^T U = I and P symmetric, via the T-SVD."""
     r = svd(m, FLAVOR_T)
-    u = r.u @ r.v.T
-    p = r.v @ r.sigma @ r.v.T
-    return PolarResult(u, p)
+    (s, sp), v0, v1 = r.middle[:2], r.v.std, r.v.inf
+    # V Sigma as column scalings, for Sigma = diag(s) + eps*diag(sp).  Each part
+    # is C-ordered as V @ Sigma's is (the eps part through v1): BLAS rounds
+    # P's products by their operands' layout.
+    p = DualMatrix._of(np.multiply(v0, s, order="C"), v0 * sp + v1 * s) @ r.v.T
+    return PolarResult(r.u @ r.v.T, p)
 
 
 def penrose_residuals(m: DualMatrix, x: DualMatrix) -> dict:
@@ -197,4 +201,6 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     for name, limit in penrose_limits(m, x, 1e-8).items():
         if not residuals[name] <= limit:
             raise VerificationError(f"Penrose {name}: {residuals[name]:.3e} > limit {limit:.3e}")
+    if x.norm() > c * sys.float_info.max:  # X / c would overflow
+        raise OutOfRange(f"the pseudoinverse overflows float64 at ||M|| = {c * scale:.3e}")
     return x if c == 1.0 else DualMatrix._of(x.std / c, x.inf / c)

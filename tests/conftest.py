@@ -103,6 +103,17 @@ def block_matrix_loop(blocks) -> DualMatrix:
     return out
 
 
+def cluster_runs_vectorized(vals, limit):
+    """The (start, stop) runs of neighbours of a descending sequence at most
+    ``limit`` apart, found by differencing a mask: the reference that the
+    library's one-pass ``_cluster_runs`` is compared against."""
+    close = vals[:-1] - vals[1:] <= limit
+    if not close.any():
+        return []
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], close, [0])))).tolist()
+    return [(i, j + 1) for i, j in zip(edges[::2], edges[1::2])]
+
+
 def corrector_loop(bt, s, flavor):
     """The SVD's first-order corrector (Omega_U, Omega_V), entry by entry:
     the reference that the library's kernel is compared against.  B~ = bt is

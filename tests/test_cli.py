@@ -195,15 +195,16 @@ class TestDecompose:
         assert main(["check", "--input", inp, "--result", out]) == 0
 
     def test_exit_3_errors_share_one_base(self):
-        seven = {
+        eight = {
             errors.NotSquare, errors.NotSymmetric, errors.NotHermitian, errors.NotInvertible,
             errors.DimensionMismatch, errors.DegenerateInput, errors.NonFiniteInput,
+            errors.OutOfRange,
         }
         subclasses = {
             c for c in vars(errors).values()
             if isinstance(c, type) and issubclass(c, errors.PreconditionViolation)
         }
-        assert subclasses - {errors.PreconditionViolation} == seven
+        assert subclasses - {errors.PreconditionViolation} == eight
 
     def test_precondition_exit_3(self, tmp_path):
         nonsq = tmp_path / "r.json"
@@ -366,6 +367,15 @@ class TestCheck:
         doc["factors"]["sigma"]["entries"][0][0] += 1e-10
         out.write_text(dumps(doc))
         assert main(["check", "--input", inp, "--result", str(out)]) == 4
+
+    @pytest.mark.parametrize("kind", ["pinv", "t-svd", "star-svd", "t-polar"])
+    def test_subnormal_norm_exits_3(self, tmp_path, capsys, kind):
+        # Before: pinv exited 2 (it could not serialize an infinite X), and the
+        # other kinds exited 0 with results that check failed (exit 4).
+        inp = str(Path(__file__).parent / "data" / "subnormal_2x2.json")
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
+        assert "OutOfRange" in capsys.readouterr().err and not out.exists()
 
     def test_pinv_nonexistent_check(self, tmp_path):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))

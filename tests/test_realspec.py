@@ -211,3 +211,57 @@ class TestSkewBlockDiag:
             assert abs(sb.mus[1] - mu) < 1e-7 * mu
             assert np.abs(sb.q @ sb.q.T - np.eye(5)).max() < 1e-12
             assert np.abs(sb.q @ sb.assemble() @ sb.q.T - a).max() < 1e-14
+
+
+def same_bits(a, b) -> bool:
+    """Equal as stored: shape, dtype and every bit, the sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def exactly_structured(rng, n, sign):
+    """Exactly symmetric (sign +1) or skew (sign -1) n x n inputs: x + sign*x^T
+    is so bit for bit, and so is a permuted block form.  They include
+    repeated eigenvalues or rotation parameters and a kernel."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    perm = rng.permutation(n)
+    if sign > 0:
+        d = np.resize([2.0, 2.0, 0.0, -1.0, 0.0], n)
+        x = q @ np.diag(d) @ q.T
+        form = np.diag(d)
+    else:
+        form = np.zeros((n, n))
+        for p in range(0, n - 1, 2)[:2]:  # two blocks with mu = 1, then zeros
+            form[p, p + 1], form[p + 1, p] = -1.0, 1.0
+        x = q @ form @ q.T
+    y = rng.standard_normal((n, n))
+    return [np.zeros((n, n)), form[perm][:, perm], x + sign * x.T, y + sign * y.T]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_sym_eig_unchecked_is_checked_on_symmetric_input(rng, n):
+    # For exactly symmetric A, (A + A^T)/2 is A, so check=False changes no bit.
+    for a in exactly_structured(rng, n, 1.0):
+        x, y = sym_eig(a, check=False), sym_eig(a)
+        assert same_bits(x.q, y.q) and same_bits(x.eigenvalues, y.eigenvalues)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_skew_block_diag_unchecked_is_checked_on_skew_input(rng, n):
+    for a in exactly_structured(rng, n, -1.0):
+        x, y = skew_block_diag(a, check=False), skew_block_diag(a)
+        assert same_bits(x.q, y.q) and x.zero_count == y.zero_count
+        assert same_bits(x.mus, y.mus) and all(type(mu) is float for mu in x.mus)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_sym_eig_ties_keep_the_stable_descending_order(rng, check):
+    # Exact ties keep eigh's order among themselves, as the stable argsort
+    # of -lambda does; reversing eigh's ascending order would turn them round.
+    a = np.diag(rng.permutation([3.0, 3.0, 1.0, 1.0, 1.0, -2.0, 0.0, 3.0]))
+    lam, q = np.linalg.eigh(a)
+    order = np.argsort(-lam, kind="stable")
+    spec = sym_eig(a, check=check)
+    assert same_bits(spec.eigenvalues, lam[order])
+    assert np.array_equal(np.abs(spec.q), np.abs(q[:, order]))
+    assert not np.array_equal(np.abs(spec.q), np.abs(q[:, ::-1]))

@@ -1,11 +1,14 @@
 """Scale equivariance of the entry points, and typed rejection of
-non-finite input.
+non-finite input and of scales that float64 cannot represent.
 
 Each entry point decomposes M scaled by a power of two to unit norm and
 scales the results back, so for c = 2^k the isometries and forms of cM are
 bit-identical to those of M and the singular and spectral values are
 exactly c times M's.  For other c the invariants hold relative to ||cM||.
 """
+
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from dualsvd import (
     NonFiniteInput,
     NotInvertible,
     NotSymmetric,
+    OutOfRange,
     classify_transform,
     gram_schmidt,
     penrose_residuals,
@@ -153,6 +157,41 @@ def test_non_finite_input_is_typed(name, bad, part):
     (std if part == "std" else inf)[0, 0] = bad
     with pytest.raises(NonFiniteInput):
         ENTRY_POINTS[name](DualMatrix(std, inf))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("part", ["std", "inf"])
+def test_subnormal_norm_is_out_of_range(name, part):
+    # Below the smallest normal number, results scaled back by c would round
+    # into subnormals and miss M by far more than tol*||M||.
+    std, inf = np.zeros((2, 2)), np.zeros((2, 2))
+    (std if part == "std" else inf)[0, 0] = 5e-324
+    with pytest.raises(OutOfRange, match="smallest normal"):
+        ENTRY_POINTS[name](DualMatrix(std, inf))
+
+
+def test_smallest_normal_norm_is_in_range():
+    m = DualMatrix(sys.float_info.min * np.diag([1.0, 0.5]))
+    r = svd(m, FLAVOR_T)
+    assert (r.reconstruct() - m).norm() <= 1e-8 * m.norm()
+
+
+def test_pinv_of_a_subnormal_gaussian_is_out_of_range(rng):
+    m = DualMatrix(1e-309 * rng.standard_normal((3, 3)), 1e-309 * rng.standard_normal((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            pinv_t(m)
+
+
+def test_pinv_overflow_is_out_of_range_without_a_warning():
+    # ||M|| = 1e-302 is normal, but X = diag(1e302, 1e309) is not finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="overflows"):
+            pinv_t(DualMatrix(1e-302 * np.diag([1.0, 1e-7])))
+        x = pinv_t(DualMatrix(1e-300 * np.diag([1.0, 1e-7])))
+    assert np.allclose(x.std, np.diag([1e300, 1e307]), rtol=1e-15) and not x.inf.any()
 
 
 @pytest.mark.parametrize("n", range(4))

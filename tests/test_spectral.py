@@ -1,5 +1,7 @@
 """Spectral decompositions of Hermitian and symmetric dual matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from dualsvd import (
     sym_eig,
     t_spectral,
 )
-from dualsvd.spectral import block_matrix
+from dualsvd.spectral import _cluster_runs, block_matrix
 from conftest import (
     block_matrix_loop,
+    cluster_runs_vectorized,
     random_degenerate_hermitian,
     random_degenerate_symmetric,
     random_hermitian,
@@ -274,3 +277,22 @@ def test_every_corrector_write(rng, flavor, n, exact, cluster_tol):
     for b in dec.blocks:
         assert type(b.sigma) is float and type(b.sigma_prime) is float
         assert type(b.size) is int
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("limit", [0.0, 0.25, 0.5])
+def test_cluster_runs_match_the_vectorized_rule(n, limit):
+    # Every arrangement of gaps 0 (exact ties), 0.5 (equal to the 0.5 limit,
+    # so close) and 1 puts runs at the start, at the end, over the whole
+    # sequence and nowhere.  Halves keep the gaps exact.
+    for gaps in itertools.product([0.0, 0.5, 1.0], repeat=max(n - 1, 0)):
+        vals = (4.0 - np.cumsum((0.0, *gaps)))[:n]
+        assert _cluster_runs(vals, limit) == cluster_runs_vectorized(vals, limit)
+
+
+def test_cluster_runs_on_rounded_gaps(rng):
+    # Gaps that round in the subtraction are judged as the reference judges them.
+    for _ in range(200):
+        vals = np.sort(rng.standard_normal(8) * 1e8)[::-1]
+        limit = float(np.quantile(vals[:-1] - vals[1:], 0.5))
+        assert _cluster_runs(vals, limit) == cluster_runs_vectorized(vals, limit)
