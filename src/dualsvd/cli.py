@@ -19,13 +19,14 @@ from .laguerre import LaguerreTransform, classify_transform
 from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
+    ORTHONORMAL_TOL,
     DualMatrix,
     adjoint,
     require_square,
     structure_residual,
 )
-from .spectral import star_spectral, t_spectral
-from .svd import penrose_limits, penrose_residuals, pinv_t, svd, t_polar
+from .spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
+from .svd import DEFAULT_SPLIT_TOL, penrose_limits, penrose_residuals, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
 KIND_FACTORS = {
@@ -216,11 +217,16 @@ def make_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--kind", required=True, choices=KINDS)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output")
-    p_dec.add_argument("--tol", type=float, default=1e-8)
     p_dec.add_argument(
-        "--cluster-tol", type=float, default=1e-8,
+        "--tol", type=float, default=DEFAULT_SPLIT_TOL,
+        help="relative to ||M||: split threshold (t-svd, star-svd), split and existence "
+        "threshold (pinv), structure tolerance (t-spectral, star-spectral); t-polar "
+        "ignores it (default %(default)g)",
+    )
+    p_dec.add_argument(
+        "--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
         help="largest gap, relative to ||M||, between singular values or eigenvalues "
-        "that count as one (default 1e-8)",
+        "that count as one; t-polar and pinv ignore it (default %(default)g)",
     )
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -231,7 +237,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="re-verify a result document")
     p_chk.add_argument("--input", required=True)
     p_chk.add_argument("--result", required=True)
-    p_chk.add_argument("--tol", type=float, default=1e-8)
+    p_chk.add_argument("--tol", type=float, default=ORTHONORMAL_TOL)
     p_chk.set_defaults(func=cmd_check)
 
     return parser

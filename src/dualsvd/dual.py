@@ -69,11 +69,6 @@ class Dual:
     def is_appreciable(self) -> bool:
         return self.std != 0.0
 
-    def abs_max(self) -> float:
-        """max(|std|, |inf|); NaN if either part is NaN."""
-        a, b = abs(self.std), abs(self.inf)
-        return a if a >= b or math.isnan(a) else b
-
     def __repr__(self) -> str:
         return f"{self.std}{self.inf:+}ε"
 

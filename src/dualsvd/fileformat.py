@@ -67,9 +67,5 @@ def obj_to_matrix(obj) -> DualMatrix:
     return DualMatrix(*e.reshape(rows, cols, 2).transpose(2, 0, 1).copy())
 
 
-def serialize_matrix(m: DualMatrix) -> str:
-    return dumps(matrix_to_obj(m))
-
-
 def parse_matrix(text: str) -> DualMatrix:
     return obj_to_matrix(loads(text))

@@ -11,7 +11,7 @@ import numpy as np
 from .dual import Dual
 from .errors import DimensionMismatch, PoleAt
 from .linalg import FLAVOR_STAR, DualMatrix
-from .spectral import SpectralBlock, block_matrix
+from .spectral import middle_matrix
 from .svd import svd_invertible
 
 
@@ -22,11 +22,6 @@ class LaguerreTransform:
     def __post_init__(self):
         if self.m.shape != (2, 2):
             raise DimensionMismatch(f"Laguerre transform needs a 2x2 matrix: {self.m.shape}")
-
-    def det(self) -> Dual:
-        a, b = self.m.entry(0, 0), self.m.entry(0, 1)
-        c, d = self.m.entry(1, 0), self.m.entry(1, 1)
-        return a * d - b * c
 
 
 @dataclass
@@ -42,9 +37,9 @@ class LaguerreClassification:
 
     def reconstruct(self) -> DualMatrix:
         if self.form == 1:
-            s = block_matrix([SpectralBlock(float(x), 0.0, 1) for x in self.sigma])
-            return self.u @ s @ self.v.star()
-        return self.u @ block_matrix([SpectralBlock(self.sigma, self.sigma_prime, 2)])
+            return self.u @ middle_matrix(self.sigma, np.zeros(2), np.ones(2)) @ self.v.star()
+        s, sp = self.sigma, self.sigma_prime
+        return self.u @ middle_matrix([s, s], np.array([sp, 0.0]), np.array([2, 0]))
 
 
 def apply_transform(t: LaguerreTransform, z: Dual) -> Dual:

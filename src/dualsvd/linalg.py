@@ -75,23 +75,6 @@ class DualMatrix:
         m.std, m.inf = std, inf
         return m
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "DualMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DualMatrix":
-        return cls._of(np.zeros((rows, cols)), np.zeros((rows, cols)))
-
-    @classmethod
-    def diagonal(cls, entries) -> "DualMatrix":
-        entries = list(entries)
-        return cls(
-            np.diag([d.std for d in entries]), np.diag([d.inf for d in entries])
-        )
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -174,6 +157,14 @@ def unit_scale(m: DualMatrix):
     if c == 1.0:
         return m, c, nrm
     return DualMatrix._of(m.std / c, m.inf / c), c, nrm / c
+
+
+def scale_back(c: float, *parts: np.ndarray) -> tuple:
+    """c times each same-shape part; OutOfRange, tested before multiplying so
+    that numpy emits no warning, if a product would overflow float64."""
+    if np.abs(parts).max(initial=0.0) > sys.float_info.max / c:
+        raise OutOfRange(f"the middle factor scaled back by c = {c:.3e} overflows float64")
+    return tuple(c * p for p in parts)
 
 
 def adjoint(m: DualMatrix, flavor: str) -> DualMatrix:

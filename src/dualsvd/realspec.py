@@ -33,15 +33,6 @@ class SkewBlockForm:
     mus: list = field(default_factory=list)
     zero_count: int = 0
 
-    def assemble(self) -> np.ndarray:
-        n = 2 * len(self.mus) + self.zero_count
-        s = np.zeros((n, n))
-        for i, mu in enumerate(self.mus):
-            p = 2 * i
-            s[p, p + 1] = -mu
-            s[p + 1, p] = mu
-        return s
-
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0

@@ -30,6 +30,7 @@ from .linalg import (
     DualMatrix,
     Flavor,
     require_square,
+    scale_back,
     structure_residual,
     unit_scale,
 )
@@ -63,13 +64,6 @@ def middle_matrix(sig, sp, size) -> DualMatrix:
         inf[at, at + 1] = -sp[at]
         inf[at + 1, at] = sp[at]
     return DualMatrix._of(np.diag(sig), inf)
-
-
-def block_matrix(blocks) -> DualMatrix:
-    """Assemble the block-diagonal matrix of a list of blocks, by index."""
-    rows = [((b.sigma, b.sigma_prime, b.size), (b.sigma, 0.0, 0))[: b.size] for b in blocks]
-    per = np.array([r for pair in rows for r in pair], dtype=float).reshape(-1, 3)
-    return middle_matrix(*per.T)
 
 
 class HeldMiddle:
@@ -194,8 +188,8 @@ def _decompose(m: DualMatrix, flavor: Flavor, error, tol: float, cluster_tol: fl
 
     # M = V Sigma V^adj with V = Q0 (I + eps*Omega): across clusters
     # B~_ab = Omega_ab (d_b - d_a), and inside a cluster Omega_ab = 0.
-    omega = _divide_across(bt, d, runs)
-    return SpectralDecomposition(DualMatrix._of(q0, q0 @ omega), flavor, (c * d, c * sp, size))
+    v = DualMatrix._of(q0, q0 @ _divide_across(bt, d, runs))
+    return SpectralDecomposition(v, flavor, (*scale_back(c, d, sp), size))
 
 
 def star_spectral(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertible, OutOfRange, VerificationError
-from .linalg import FLAVOR_T, DualMatrix, Flavor, adjoint, require_square, unit_scale
+from .linalg import FLAVOR_T, DualMatrix, Flavor, adjoint, require_square, scale_back, unit_scale
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     HeldMiddle,
@@ -115,7 +115,7 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float, scaled=None
 
     u = DualMatrix._of(u0, u0 @ om_u)
     v = DualMatrix._of(v0, v0 @ om_v)
-    return SvdResult(u, v, flavor, (c * s, c * sp, size), m), k
+    return SvdResult(u, v, flavor, (*scale_back(c, s, sp), size), m), k
 
 
 def svd_invertible(m: DualMatrix, flavor: str) -> SvdResult:
@@ -196,7 +196,8 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     x_std, x_inf = np.zeros_like(a), np.zeros_like(a)
     x_std[:k] = 1.0 / a[:k]
     x_inf[:k] = -b[:k] / (a[:k] * a[:k])
-    x = r.v @ DualMatrix._of(np.diag(x_std), np.diag(x_inf)) @ r.u.T
+    v0, v1 = r.v.std, r.v.inf
+    x = DualMatrix._of(np.multiply(v0, x_std, order="C"), v0 * x_inf + v1 * x_std) @ r.u.T
     residuals = penrose_residuals(m, x)
     for name, limit in penrose_limits(m, x, 1e-8).items():
         if not residuals[name] <= limit:

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from dualsvd import DualMatrix, FLAVOR_T
+from dualsvd.linalg import unit_scale
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL, middle_matrix
+from dualsvd.svd import _svd
 
 
 def random_dual_matrix(rng, n, regime="generic"):
@@ -90,7 +93,7 @@ def block_matrix_loop(blocks) -> DualMatrix:
     """The middle factor of a block list, entry by entry: the reference
     that the library's array assembly is compared against."""
     n = sum(b.size for b in blocks)
-    out = DualMatrix.zeros(n, n)
+    out = DualMatrix(np.zeros((n, n)))
     p = 0
     for b in blocks:
         out.std[p, p] = out.std[p + b.size - 1, p + b.size - 1] = b.sigma
@@ -101,6 +104,47 @@ def block_matrix_loop(blocks) -> DualMatrix:
             out.inf[p + 1, p] = b.sigma_prime
         p += b.size
     return out
+
+
+def block_matrix(blocks) -> DualMatrix:
+    """The middle factor of a block list, through its per-index arrays: the
+    reference that ``sigma``, ``sigma_matrix()`` and
+    ``LaguerreClassification.reconstruct`` are compared against."""
+    rows = [((b.sigma, b.sigma_prime, b.size), (b.sigma, 0.0, 0))[: b.size] for b in blocks]
+    per = np.array([r for pair in rows for r in pair], dtype=float).reshape(-1, 3)
+    return middle_matrix(*per.T)
+
+
+def skew_block_matrix(sb) -> np.ndarray:
+    """The block-diagonal S of a ``SkewBlockForm``, A = q S q^T: 2x2 blocks
+    [[0, -mu], [mu, 0]], then ``zero_count`` zeros."""
+    n = 2 * len(sb.mus) + sb.zero_count
+    s = np.zeros((n, n))
+    for i, mu in enumerate(sb.mus):
+        s[2 * i, 2 * i + 1] = -mu
+        s[2 * i + 1, 2 * i] = mu
+    return s
+
+
+def pinv_diag_reference(m, tol=1e-8):
+    """``pinv_t(m, tol)`` without its Penrose self-check, with V Sigma^+ the
+    product of V and the diagonal matrix Sigma^+: the formulation that
+    ``pinv_t``'s column scaling is compared against."""
+    ms, c, scale = unit_scale(m)
+    r, k = _svd(ms, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL, (ms, 1.0, scale))
+    a, b = r.middle[:2]
+    if (np.abs(b[k:]) > tol * scale).any():
+        return None
+    x_std, x_inf = np.zeros_like(a), np.zeros_like(a)
+    x_std[:k] = 1.0 / a[:k]
+    x_inf[:k] = -b[:k] / (a[:k] * a[:k])
+    x = r.v @ DualMatrix(np.diag(x_std), np.diag(x_inf)) @ r.u.T
+    return x if c == 1.0 else DualMatrix(x.std / c, x.inf / c)
+
+
+def dual_abs_max(x) -> float:
+    """max(|std|, |inf|) of a Dual."""
+    return max(abs(x.std), abs(x.inf))
 
 
 def cluster_runs_vectorized(vals, limit):

@@ -12,7 +12,6 @@ from dualsvd import (
     FLAVOR_STAR,
     FLAVOR_T,
     DegenerateInput,
-    Dual,
     DualMatrix,
     LaguerreTransform,
     adjoint,
@@ -30,7 +29,7 @@ from dualsvd import (
     t_spectral,
 )
 from dualsvd.cli import main
-from dualsvd.fileformat import serialize_matrix
+from dualsvd.fileformat import dumps, matrix_to_obj
 from conftest import (
     random_degenerate_hermitian,
     random_degenerate_symmetric,
@@ -207,7 +206,7 @@ def test_criterion_5_pseudoinverse_dichotomy(capsys):
 
     if pinv_t(DualMatrix([[0.0]], [[1.0]])) is not None:
         ok, notes = False, notes + ["[[eps]] not rejected"]
-    if pinv_t(DualMatrix.diagonal([Dual(1), Dual(0, 1)])) is not None:
+    if pinv_t(DualMatrix(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))) is not None:
         ok, notes = False, notes + ["diag(1,eps) not rejected"]
     got = pinv_t(DualMatrix(np.diag([2.0, 0.0])))
     if got is None or (got - DualMatrix(np.diag([0.5, 0.0]))).norm() > 1e-12:
@@ -276,7 +275,7 @@ def test_criterion_6_yaglom_dichotomy(capsys):
                 rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
             )
         t = LaguerreTransform(m)
-        if abs(t.det().std) <= 1e-6:
+        if abs(np.linalg.det(m.std)) <= 1e-6:
             continue
         c = classify_transform(t)
         counts[c.form] += 1
@@ -305,7 +304,7 @@ def test_criterion_7_gram_schmidt(capsys):
         flavor = FLAVORS[k % 2]
         vs = random_vectors(rng, n, kcount)
         out = gram_schmidt(vs, flavor)
-        g = form(out, out, flavor) - DualMatrix.identity(kcount)
+        g = form(out, out, flavor) - DualMatrix(np.eye(kcount))
         worst = max(worst, g.norm())
 
         if kcount >= 3:
@@ -343,7 +342,7 @@ def _golden_corpus(rng):
         ("t-svd", random_dual_matrix(rng, 3, "generic")),
         ("t-svd", random_dual_matrix(rng, 4, "rankdef")),
         ("t-svd", DualMatrix(np.zeros((2, 2)), rng.standard_normal((2, 2)))),
-        ("t-svd", DualMatrix.identity(2)),
+        ("t-svd", DualMatrix(np.eye(2))),
         ("star-svd", random_dual_matrix(rng, 3, "generic")),
         ("star-svd", random_dual_matrix(rng, 4, "rankdef")),
         ("star-svd", DualMatrix([[1, 0], [0, 1]], [[0, -1], [1, 0]])),
@@ -370,7 +369,7 @@ def test_criterion_8_cli_pipeline(capsys, tmp_path):
     for i, (kind, m) in enumerate(cases):
         kinds_seen.add(kind)
         inp = tmp_path / f"in_{i}.json"
-        inp.write_text(serialize_matrix(m))
+        inp.write_text(dumps(matrix_to_obj(m)))
         out1 = tmp_path / f"out_{i}a.json"
         out2 = tmp_path / f"out_{i}b.json"
         rc1 = main(

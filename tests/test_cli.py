@@ -11,7 +11,7 @@ import pytest
 
 import dualsvd
 from dualsvd import Dual, DualMatrix, errors
-from dualsvd.cli import main
+from dualsvd.cli import main, make_parser
 from dualsvd.fileformat import (
     ParseError,
     dumps,
@@ -19,26 +19,28 @@ from dualsvd.fileformat import (
     matrix_to_obj,
     obj_to_matrix,
     parse_matrix,
-    serialize_matrix,
 )
+from dualsvd.linalg import ORTHONORMAL_TOL
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL
+from dualsvd.svd import DEFAULT_SPLIT_TOL
 from conftest import random_dual_matrix
 
 
 def write_matrix(path, m):
-    path.write_text(serialize_matrix(m))
+    path.write_text(dumps(matrix_to_obj(m)))
     return str(path)
 
 
 class TestFileFormat:
     def test_round_trip_exact(self, rng):
         m = random_dual_matrix(rng, 4, "generic")
-        back = parse_matrix(serialize_matrix(m))
+        back = parse_matrix(dumps(matrix_to_obj(m)))
         assert np.array_equal(back.std, m.std)
         assert np.array_equal(back.inf, m.inf)
 
     def test_deterministic_bytes(self, rng):
         m = random_dual_matrix(rng, 3, "generic")
-        assert serialize_matrix(m) == serialize_matrix(m.copy())
+        assert dumps(matrix_to_obj(m)) == dumps(matrix_to_obj(m.copy()))
 
     def test_seventeen_digit_floats_round_trip(self):
         vals = [1 / 3, np.pi, 1e-300, -0.1, 2.0 ** -1074]
@@ -208,13 +210,20 @@ class TestDecompose:
 
     def test_precondition_exit_3(self, tmp_path):
         nonsq = tmp_path / "r.json"
-        nonsq.write_text(serialize_matrix(DualMatrix(np.zeros((2, 3)))))
+        nonsq.write_text(dumps(matrix_to_obj(DualMatrix(np.zeros((2, 3))))))
         assert main(["decompose", "--kind", "t-svd", "--input", str(nonsq)]) == 3
         nonherm = tmp_path / "h.json"
-        nonherm.write_text(serialize_matrix(DualMatrix([[0, 1], [0, 0]])))
+        nonherm.write_text(dumps(matrix_to_obj(DualMatrix([[0, 1], [0, 0]]))))
         assert main(
             ["decompose", "--kind", "star-spectral", "--input", str(nonherm)]
         ) == 3
+
+
+    def test_parser_defaults_are_the_library_constants(self):
+        dec = make_parser().parse_args(["decompose", "--kind", "pinv", "--input", "m.json"])
+        assert (dec.tol, dec.cluster_tol) == (DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
+        chk = make_parser().parse_args(["check", "--input", "m.json", "--result", "r.json"])
+        assert chk.tol == ORTHONORMAL_TOL
 
 
 class TestClassify:
@@ -376,6 +385,40 @@ class TestCheck:
         out = tmp_path / "r.json"
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
         assert "OutOfRange" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral", "t-polar"])
+    def test_overflowing_middle_factor_exits_3(self, tmp_path, capsys, kind):
+        # Every entry is 1.5e308, so the largest singular value and eigenvalue
+        # are 3e308.  Before, scaling them back by c overflowed to inf (with a
+        # RuntimeWarning) and decompose exited 2, unable to serialize Sigma.
+        inp = str(Path(__file__).parent / "data" / "overflow_2x2.json")
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
+        assert "OutOfRange" in capsys.readouterr().err and not out.exists()
+
+    def test_overflowing_hermitian_exits_3(self, tmp_path, capsys):
+        big = 1.5e308
+        m = DualMatrix(np.full((2, 2), big), [[0.0, big], [-big, 0.0]])
+        inp = write_matrix(tmp_path / "m.json", m)
+        argv = ["decompose", "--kind", "star-spectral", "--input", inp]
+        assert main(argv) == 3
+        assert "OutOfRange" in capsys.readouterr().err
+
+    def test_pinv_of_an_overflowing_matrix_passes(self, tmp_path):
+        # X is about 1/||M||, far inside the range.
+        inp = str(Path(__file__).parent / "data" / "overflow_2x2.json")
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
+
+    @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-polar", "pinv"])
+    def test_largest_singular_value_that_fits_passes(self, tmp_path, kind):
+        # s_1 = 1.30e308 is below the float64 maximum of 1.80e308.
+        m = DualMatrix([[8e307, -6e307], [-5e307, 7e307]], [[2e307, -1e307], [3e307, 4e307]])
+        inp = write_matrix(tmp_path / "m.json", m)
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
 
     def test_pinv_nonexistent_check(self, tmp_path):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))

@@ -25,8 +25,13 @@ from dualsvd import (
     t_polar,
     t_spectral,
 )
-from dualsvd.spectral import block_matrix
-from conftest import block_matrix_loop, corrector_loop, random_dual_matrix
+from conftest import (
+    block_matrix,
+    block_matrix_loop,
+    corrector_loop,
+    pinv_diag_reference,
+    random_dual_matrix,
+)
 
 FLAVORS = (FLAVOR_T, FLAVOR_STAR)
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
@@ -55,15 +60,15 @@ class TestSvdInvertible:
     def test_one_by_one(self):
         r = svd_invertible(DualMatrix([[1.0]], [[1.0]]), FLAVOR_T)
         assert r.diag == [Dual(1, 1)]
-        assert (r.u - DualMatrix.identity(1)).norm() < 1e-14
-        assert (r.v - DualMatrix.identity(1)).norm() < 1e-14
+        assert (r.u - DualMatrix(np.eye(1))).norm() < 1e-14
+        assert (r.v - DualMatrix(np.eye(1))).norm() < 1e-14
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_identity(self, flavor):
-        r = svd_invertible(DualMatrix.identity(3), flavor)
-        assert (r.u - DualMatrix.identity(3)).norm() < 1e-12
-        assert (r.v - DualMatrix.identity(3)).norm() < 1e-12
-        assert (r.sigma - DualMatrix.identity(3)).norm() < 1e-12
+        r = svd_invertible(DualMatrix(np.eye(3)), flavor)
+        assert (r.u - DualMatrix(np.eye(3))).norm() < 1e-12
+        assert (r.v - DualMatrix(np.eye(3))).norm() < 1e-12
+        assert (r.sigma - DualMatrix(np.eye(3))).norm() < 1e-12
 
     def test_star_rotation_sigma(self):
         m = DualMatrix([[1, 0], [0, 1]], [[0, -1], [1, 0]])
@@ -72,7 +77,7 @@ class TestSvdInvertible:
         b = r.blocks[0]
         assert (b.size, b.sigma) == (2, 1.0)
         assert abs(abs(b.sigma_prime) - 1.0) < 1e-12
-        assert (r.v - DualMatrix.identity(2)).norm() < 1e-12
+        assert (r.v - DualMatrix(np.eye(2))).norm() < 1e-12
         check_svd(m, r, 1e-12)
 
     def test_rejects_singular_standard_part(self):
@@ -108,7 +113,7 @@ class TestSplitSubspaces:
         assert s.vl_basis.shape == (4, 4)
 
     def test_zero_matrix(self):
-        s = split_subspaces(DualMatrix.zeros(3, 3), FLAVOR_T)
+        s = split_subspaces(DualMatrix(np.zeros((3, 3))), FLAVOR_T)
         assert s.vl_basis.shape == (3, 0) and s.vr_basis.shape == (3, 3)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -347,13 +352,13 @@ class TestEveryCorrectorWrite:
 
 class TestPolar:
     def test_identity(self):
-        pr = t_polar(DualMatrix.identity(3))
-        assert (pr.u - DualMatrix.identity(3)).norm() < 1e-12
-        assert (pr.p - DualMatrix.identity(3)).norm() < 1e-12
+        pr = t_polar(DualMatrix(np.eye(3)))
+        assert (pr.u - DualMatrix(np.eye(3))).norm() < 1e-12
+        assert (pr.p - DualMatrix(np.eye(3))).norm() < 1e-12
 
     def test_scalar_eps(self):
         pr = t_polar(DualMatrix([[0.0]], [[1.0]]))
-        assert (pr.u - DualMatrix.identity(1)).norm() < 1e-12
+        assert (pr.u - DualMatrix(np.eye(1))).norm() < 1e-12
         assert pr.p.entry(0, 0) == Dual(0, 1)
 
     def test_spd_factor_is_input(self, rng):
@@ -364,7 +369,7 @@ class TestPolar:
         inf = rng.standard_normal((4, 4))
         m = DualMatrix(std, inf + inf.T)
         pr = t_polar(m)
-        assert (pr.u - DualMatrix.identity(4)).norm() < 1e-9
+        assert (pr.u - DualMatrix(np.eye(4))).norm() < 1e-9
         assert (pr.p - m).norm() < 1e-9 * m.norm()
 
     def test_random_invariants(self, rng):
@@ -404,7 +409,7 @@ class TestPinv:
         assert pinv_t(DualMatrix([[0.0]], [[1.0]])) is None
 
     def test_diag_1_eps_has_none(self):
-        assert pinv_t(DualMatrix.diagonal([Dual(1), Dual(0, 1)])) is None
+        assert pinv_t(DualMatrix(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))) is None
 
     def test_diag_2_0(self):
         x = pinv_t(DualMatrix(np.diag([2.0, 0.0])))
@@ -413,9 +418,10 @@ class TestPinv:
     def test_diagonal_matches_dual_inverse(self):
         # The appreciable entries are inverted as Dual.inv does it, bit for
         # bit; the exact zero stays zero.
-        entries = [Dual(3.0, 0.7), Dual(-0.3, 1.9), Dual(0.0)]
-        x = pinv_t(DualMatrix.diagonal(entries))
-        want = DualMatrix.diagonal([entries[0].inv(), entries[1].inv(), Dual(0.0)])
+        std, inf = [3.0, -0.3, 0.0], [0.7, 1.9, 0.0]
+        x = pinv_t(DualMatrix(np.diag(std), np.diag(inf)))
+        inverses = [Dual(a, b).inv() for a, b in zip(std[:2], inf[:2])] + [Dual(0.0)]
+        want = DualMatrix(np.diag([d.std for d in inverses]), np.diag([d.inf for d in inverses]))
         assert np.array_equal(x.std, want.std) and np.array_equal(x.inf, want.inf)
 
     def test_1x1_matches_analytic_oracle(self, rng):
@@ -436,7 +442,7 @@ class TestPinv:
         # residual bounded away from zero.
         from scipy.optimize import least_squares
 
-        m = DualMatrix.diagonal([Dual(1), Dual(0, 1)])
+        m = DualMatrix(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert pinv_t(m) is None
 
         def resid(p):
@@ -478,7 +484,7 @@ class TestPinv:
             "xm_symmetric": 1e-8,
         }
         for n in (0, 2):
-            z = DualMatrix.zeros(n, n)
+            z = DualMatrix(np.zeros((n, n)))
             assert penrose_limits(z, z, 1e-8)["xmx"] == 0.0
             assert np.array_equal(pinv_t(z).std, z.std)
 
@@ -499,6 +505,41 @@ def closed_form_pinv(a, b):
     ata = np.linalg.pinv(a.T @ a, rcond=1e-10)
     aat = np.linalg.pinv(a @ a.T, rcond=1e-10)
     return ap, -(ap @ b @ ap - ata @ b.T @ p - q @ b.T @ aat)
+
+
+def assert_same_pinv(m):
+    """pinv_t(m), checked to be bit for bit the diagonal-product reference's X."""
+    got, want = pinv_t(m), pinv_diag_reference(m)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got.std, want.std) and np.array_equal(got.inf, want.inf)
+    return got
+
+
+@pytest.mark.parametrize("n", [*range(7), 32])
+@pytest.mark.parametrize("regime", ["generic", "rankdef", "pure_inf", "zero_lines"])
+def test_pinv_column_scaling_matches_the_diagonal_product(rng, n, regime):
+    # V Sigma^+ as column scalings of V gives the X of the product
+    # V @ diag(Sigma^+), at unit norm, at powers of two and at decimal scales.
+    # n = 32 pins V Sigma^+'s C layout: BLAS rounds X's product by its
+    # operands' layout there, and an F-ordered v0 * x_std changes X's bits.
+    for _ in range(3):
+        m = random_dual_matrix(rng, n, regime)
+        for scale in (1.0, 2.0**40, 2.0**-40, 1e9, 1e-9):
+            assert_same_pinv(DualMatrix(scale * m.std, scale * m.inf))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pinv_column_scaling_matches_below_full_rank(rng, n):
+    # B projected so that P B Q = 0: a pseudoinverse exists at every rank.
+    for rank in range(n):
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q1[:, :rank] @ np.diag(rng.uniform(0.5, 2.0, rank)) @ q2[:, :rank].T
+        ap = np.linalg.pinv(a, rcond=1e-10)
+        b = rng.standard_normal((n, n))
+        b = b - (np.eye(n) - a @ ap) @ b @ (np.eye(n) - ap @ a)
+        assert assert_same_pinv(DualMatrix(a, b)) is not None
 
 
 class TestPinvClosedForm:
