@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import fileformat
-from .errors import DualLinAlgError, NotSquare, PreconditionViolation
+from .errors import DualLinAlgError, NotSquare, OutOfRange, PreconditionViolation
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
 from .linalg import (
@@ -25,7 +25,7 @@ from .linalg import (
     require_square,
     structure_residual,
 )
-from .spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
+from .spectral import DEFAULT_CLUSTER_TOL, middle_matrix, star_spectral, t_spectral
 from .svd import DEFAULT_SPLIT_TOL, penrose_limits, penrose_residuals, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
@@ -40,13 +40,12 @@ KIND_FACTORS = {
 KINDS = tuple(KIND_FACTORS)
 
 
-def _load_matrix(path: str) -> DualMatrix:
+def _read(path: str) -> str:
     try:
         with open(path) as f:
-            text = f.read()
+            return f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return fileformat.parse_matrix(text)
 
 
 def _summary(r) -> dict:
@@ -57,35 +56,33 @@ def _summary(r) -> dict:
     return {"diag": [[d.std, d.inf] for d in r.diag]}
 
 
-def _maxabs(a: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.abs(a[mask]).max()) if mask.any() else 0.0
+def _middle_of(doc: dict, flavor, n: int) -> tuple:
+    """The per-index arrays (sigma, sigma_prime, size) of ``middle_matrix``,
+    read from the summary: T ``diag`` pairs, or star ``blocks``, where a
+    size-2 block covers two indices and the second has size 0."""
+    try:
+        if flavor is FLAVOR_STAR:
+            pairs = [[b["sigma"], b["sigma_prime"]] for b in doc["summary"]["blocks"]]
+            sizes = [b["size"] for b in doc["summary"]["blocks"]]
+        else:
+            pairs = doc["summary"]["diag"]
+            sizes = [1] * len(pairs)
+        vals = fileformat.obj_to_matrix({"rows": len(sizes), "cols": 1, "entries": pairs})
+    except (KeyError, TypeError, ParseError) as exc:
+        raise ParseError(f"result document has a malformed summary: {exc!r}") from exc
+    if not all(type(z) is int and z in (1, 2) for z in sizes) or sum(sizes) != n:
+        raise ParseError(f"summary block sizes must be 1 or 2 and add up to {n}")
+    at = np.repeat(np.arange(len(sizes)), sizes)  # the block of each index
+    head = np.diff(at, prepend=-1) > 0  # False at the second index of a block
+    return vals.std[at, 0], vals.inf[at, 0] * head, np.repeat(sizes, sizes) * head
 
 
-def _offdiag_residual(sigma: DualMatrix) -> float:
-    off = ~np.eye(sigma.shape[0], dtype=bool)
-    return max(_maxabs(sigma.std, off), _maxabs(sigma.inf, off))
-
-
-def _star_sigma_form_residual(sigma: DualMatrix) -> float:
-    """Departure of sigma from the legal star block pattern: real diagonal
-    standard part, infinitesimal part skew with support on the diagonal and
-    the adjacent off-diagonals."""
-    n = sigma.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
-    return max(
-        _maxabs(sigma.std, off),
-        _maxabs(sigma.inf, far),
-        _maxabs(sigma.inf + sigma.inf.T, off),
-    )
-
-
-def _invariants(m: DualMatrix, kind: str, f: dict, tol: float):
-    """Yield (name, residual, limit) for every invariant of a result whose
-    factors are ``f``.  Each limit is ``tol`` times the scale of its residual:
-    1 for an isometry, ``penrose_limits`` for the Penrose identities, and ||M||
-    for every other residual."""
-    flavor = KIND_FACTORS[kind][0]
+def _invariants(m: DualMatrix, doc: dict, f: dict, tol: float):
+    """Yield (name, residual, limit) for every invariant of the document
+    ``doc`` with factors ``f``.  Each limit is ``tol`` times the scale of its
+    residual: 1 for an isometry, ``penrose_limits`` for the Penrose
+    identities, and ||M|| for every other residual."""
+    flavor = KIND_FACTORS[doc["kind"]][0]
     lim = tol * m.norm()
     for name in ("u", "v"):
         if name in f:
@@ -95,12 +92,14 @@ def _invariants(m: DualMatrix, kind: str, f: dict, tol: float):
         yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
     elif "sigma" in f:
         sigma = f["sigma"]
+        # Sigma's pattern is the middle factor that the summary describes.
+        pattern = (sigma - middle_matrix(*_middle_of(doc, flavor, m.shape[0]))).norm()
         if flavor is FLAVOR_STAR:
             if "u" not in f:
                 yield "sigma_hermitian", structure_residual(sigma, "hermitian"), lim
-            yield "sigma_block_form", _star_sigma_form_residual(sigma), lim
+            yield "sigma_block_form", pattern, lim
         else:
-            yield "sigma_diagonal", _offdiag_residual(sigma), lim
+            yield "sigma_diagonal", pattern, lim
         # U Sigma V^adj, or V Sigma V^adj for a spectral result.
         recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
         yield "reconstruction", (recon - m).norm(), lim
@@ -133,12 +132,15 @@ def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> di
         if x is None:
             doc["outcome"] = "nonexistent"
     doc["factors"] = {name: fileformat.matrix_to_obj(a) for name, a in factors.items()}
-    doc["residuals"] = {name: res for name, res, _ in _invariants(m, kind, factors, tol)}
+    doc["residuals"] = {name: res for name, res, _ in _invariants(m, doc, factors, tol)}
+    for name, res in doc["residuals"].items():
+        if not np.isfinite(res):
+            raise OutOfRange(f"residual {name} is not finite: a product of factors overflows")
     return doc
 
 
 def cmd_decompose(args) -> int:
-    m = _load_matrix(args.input)
+    m = fileformat.parse_matrix(_read(args.input))
     doc = build_result(m, args.kind, args.tol, args.cluster_tol)
     text = fileformat.dumps(doc)
     if args.output:
@@ -150,7 +152,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    m = _load_matrix(args.input)
+    m = fileformat.parse_matrix(_read(args.input))
     if m.shape != (2, 2):
         raise NotSquare(f"classify needs a 2x2 matrix, got {m.shape}")
     c = classify_transform(LaguerreTransform(m))
@@ -184,16 +186,12 @@ def _verify(m: DualMatrix, doc: dict, tol: float):
         yield "nonexistence_confirmed", (0.0 if again is None else 1.0), 0.5
         return
     factors = {name: _get_factor(doc, name) for name in KIND_FACTORS[kind][1]}
-    yield from _invariants(m, kind, factors, tol)
+    yield from _invariants(m, doc, factors, tol)
 
 
 def cmd_check(args) -> int:
-    m = _load_matrix(args.input)
-    try:
-        with open(args.result) as f:
-            doc = fileformat.loads(f.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.result}: {exc}") from exc
+    m = fileformat.parse_matrix(_read(args.input))
+    doc = fileformat.loads(_read(args.result))
     if not isinstance(doc, dict):
         raise ParseError("result document must be an object")
     if doc.get("rows") != m.shape[0] or doc.get("cols") != m.shape[1]:

@@ -55,4 +55,5 @@ class NonFiniteInput(PreconditionViolation):
 
 class OutOfRange(PreconditionViolation):
     """float64 cannot hold the input's scale or a result at it: 0 < ||M|| is
-    below the smallest normal number, or a pseudoinverse overflows."""
+    below the smallest normal number, or a pseudoinverse, a middle factor
+    scaled back, or a product of factors in a residual overflows."""

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import dualsvd
-from dualsvd import Dual, DualMatrix, errors
-from dualsvd.cli import main, make_parser
+from dualsvd import FLAVOR_STAR, FLAVOR_T, Dual, DualMatrix, adjoint, errors
+from dualsvd.cli import _middle_of, build_result, main, make_parser
 from dualsvd.fileformat import (
     ParseError,
     dumps,
@@ -21,9 +21,16 @@ from dualsvd.fileformat import (
     parse_matrix,
 )
 from dualsvd.linalg import ORTHONORMAL_TOL
-from dualsvd.spectral import DEFAULT_CLUSTER_TOL
-from dualsvd.svd import DEFAULT_SPLIT_TOL
-from conftest import random_dual_matrix
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
+from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
+from conftest import (
+    random_degenerate_hermitian,
+    random_degenerate_symmetric,
+    random_dual_matrix,
+    random_symmetric,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_matrix(path, m):
@@ -340,7 +347,9 @@ class TestCheck:
         inp = write_matrix(tmp_path / "m.json", m)
         u = matrix_to_obj(DualMatrix(np.eye(2), [[0.0, 1e308], [-1e308, 0.0]]))
         factors = {"u": u, "sigma": matrix_to_obj(m), "v": u}
-        doc = {"kind": "t-svd", "rows": 2, "cols": 2, "outcome": "ok", "factors": factors}
+        summary = {"diag": [[10.0, 0.0], [10.0, 0.0]]}
+        doc = {"kind": "t-svd", "rows": 2, "cols": 2, "outcome": "ok", "factors": factors,
+               "summary": summary}
         out = tmp_path / "r.json"
         out.write_text(dumps(doc))
         assert main(["check", "--input", inp, "--result", str(out)]) == 4
@@ -396,6 +405,36 @@ class TestCheck:
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
         assert "OutOfRange" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["t-svd", "t-polar"])
+    def test_overflowing_product_exits_3(self, tmp_path, capsys, kind):
+        # Sigma fits (8.6e307, 6.3e307), but U Sigma in the reconstruction and
+        # V Sigma in P overflow.  Before, decompose exited 2: it could not
+        # serialize the infinite residual.
+        inp = str(DATA / "product_overflow_2x2.json")
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "OutOfRange" in err and "not finite" in err and not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["star-svd", "pinv"])
+    def test_product_overflow_input_passes_other_kinds(self, tmp_path, kind):
+        inp = str(DATA / "product_overflow_2x2.json")
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_star_svd_near_the_top_of_the_range_does_not_warn(self, tmp_path):
+        # A pure-eps 5x5 with sigma' = 1.46e308.  The old block-form check
+        # overflowed in Sigma_eps + Sigma_eps^T on the diagonal, which it then
+        # masked out: a right verdict with a RuntimeWarning.
+        inp = str(DATA / "eps_overflow_5x5.json")
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "star-svd", "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
+
     def test_overflowing_hermitian_exits_3(self, tmp_path, capsys):
         big = 1.5e308
         m = DualMatrix(np.full((2, 2), big), [[0.0, big], [-big, 0.0]])
@@ -425,3 +464,119 @@ class TestCheck:
         out = str(tmp_path / "r.json")
         main(["decompose", "--kind", "pinv", "--input", inp, "--output", out])
         assert main(["check", "--input", inp, "--result", out]) == 0
+
+
+def decomposed(tmp_path, kind, m):
+    """Write m, decompose it, and return the input path, result path and document."""
+    inp = write_matrix(tmp_path / "m.json", m)
+    out = tmp_path / "r.json"
+    assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 0
+    return inp, out, loads(out.read_text())
+
+
+def _t_entry(doc):
+    return doc["summary"]["diag"][0]
+
+
+def _star_block(doc):
+    return doc["summary"]["blocks"][0]
+
+
+# Summaries that describe no middle factor: each makes check exit 2.
+MALFORMED = {
+    "missing": ("t-svd", lambda d: d.pop("summary")),
+    "missing-star": ("star-svd", lambda d: d.pop("summary")),
+    "not an object": ("t-svd", lambda d: d.update(summary=[[1.0, 0.0]])),
+    "diag not a list": ("t-svd", lambda d: d["summary"].update(diag={"0": [1.0, 0.0]})),
+    "blocks not a list": ("star-svd", lambda d: d["summary"].update(blocks=3.0)),
+    "other flavor's key": ("star-svd", lambda d: d.update(summary={"diag": [[1.0, 0.0]] * 3})),
+    "string number": ("t-svd", lambda d: _t_entry(d).__setitem__(0, "1.5")),
+    "string number-star": ("star-svd", lambda d: _star_block(d).update(sigma="1.5")),
+    "bool value": ("t-svd", lambda d: _t_entry(d).__setitem__(1, False)),
+    "bool size": ("star-svd", lambda d: _star_block(d).update(size=True)),
+    "size 3": ("star-svd", lambda d: _star_block(d).update(size=3)),
+    "string size": ("star-svd", lambda d: _star_block(d).update(size="1")),
+    "missing field": ("star-svd", lambda d: _star_block(d).pop("sigma_prime")),
+    "too few pairs": ("t-svd", lambda d: d["summary"]["diag"].pop()),
+    "a triple": ("t-svd", lambda d: _t_entry(d).append(0.0)),
+    "sizes above n": ("star-svd", lambda d: _star_block(d).update(size=2)),
+    "sizes below n": ("star-svd", lambda d: d["summary"]["blocks"].pop()),
+    "NaN": ("t-svd", lambda d: _t_entry(d).__setitem__(0, float("nan"))),
+    "NaN-star": ("star-svd", lambda d: _star_block(d).update(sigma_prime=float("nan"))),
+    "infinite": ("t-spectral", lambda d: _t_entry(d).__setitem__(1, float("inf"))),
+}
+
+
+class TestSummary:
+    """check rebuilds Sigma from the document's summary."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_summary_exits_2(self, tmp_path, rng, capsys, case):
+        kind, spoil = MALFORMED[case]
+        m = random_symmetric(rng, 3) if kind == "t-spectral" else random_dual_matrix(rng, 3)
+        inp, out, doc = decomposed(tmp_path, kind, m)
+        spoil(doc)
+        out.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
+        assert main(["check", "--input", inp, "--result", str(out)]) == 2
+        assert "summary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [0, 1])
+    @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral", "star-spectral"])
+    def test_moved_summary_value_exits_4(self, tmp_path, rng, capsys, kind, field):
+        # A degenerate Hermitian M puts a 2x2 block first in star-spectral.
+        m = {
+            "t-spectral": random_symmetric,
+            "star-spectral": random_degenerate_hermitian,
+        }.get(kind, random_dual_matrix)(rng, 4)
+        inp, out, doc = decomposed(tmp_path, kind, m)
+        assert main(["check", "--input", inp, "--result", str(out)]) == 0
+        if kind.startswith("star"):
+            _star_block(doc)[("sigma", "sigma_prime")[field]] += 1e-6 * m.norm()
+        else:
+            _t_entry(doc)[field] += 1e-6 * m.norm()
+        out.write_text(dumps(doc))
+        capsys.readouterr()
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
+        name = "sigma_block_form" if kind.startswith("star") else "sigma_diagonal"
+        assert capsys.readouterr().err == f"verification failed: {name}\n"
+
+    def test_overlapping_skew_pairs_exit_4(self, tmp_path):
+        # Sigma = 2I + eps*S with S skew on both neighbour pairs (0, 1) and (1, 2)
+        # has no block form.  U = V = I, so every other invariant holds.  The
+        # old pattern test, a skew eps part on the tridiagonal, passed it.
+        s = [[0.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
+        sigma = DualMatrix(2.0 * np.eye(3), s)
+        inp = write_matrix(tmp_path / "m.json", sigma)
+        eye = matrix_to_obj(DualMatrix(np.eye(3)))
+        blocks = [{"sigma": 2.0, "sigma_prime": 1.0, "size": 2},
+                  {"sigma": 2.0, "sigma_prime": 0.0, "size": 1}]
+        doc = {"kind": "star-svd", "rows": 3, "cols": 3, "outcome": "ok",
+               "factors": {"u": eye, "sigma": matrix_to_obj(sigma), "v": eye},
+               "summary": {"blocks": blocks}}
+        out = tmp_path / "r.json"
+        out.write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
+
+    @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
+    def test_summary_reads_back_as_the_held_middle(self, rng, flavor):
+        star = flavor is FLAVOR_STAR
+        spectral = star_spectral if star else t_spectral
+        degenerate = random_degenerate_hermitian if star else random_degenerate_symmetric
+        sizes = set()
+
+        def reads_back(kind, m, r):
+            doc = build_result(m, f"{flavor.lower()}-{kind}", DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
+            got = _middle_of(loads(dumps(doc)), flavor, m.shape[0])
+            assert all(np.array_equal(g, w) for g, w in zip(got, r.middle))
+            sizes.update(got[2].tolist())
+
+        for n in range(9):
+            for regime in ("generic", "rankdef", "pure_inf", "zero_lines"):
+                a = random_dual_matrix(rng, n, regime)
+                h = a + adjoint(a, flavor)
+                reads_back("svd", a, svd(a, flavor))
+                reads_back("spectral", h, spectral(h))
+            # A repeated eigenvalue gives a star spectral result a 2x2 block.
+            h = degenerate(rng, n)
+            reads_back("spectral", h, spectral(h))
+        assert sizes == ({0, 1, 2} if star else {1})
