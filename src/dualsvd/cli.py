@@ -89,6 +89,8 @@ def _invariants(m: DualMatrix, doc: dict, f: dict, tol: float):
             yield f"{name}_structure", structure_residual(f[name], flavor.isometry), tol
     if "p" in f:
         yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
+        # A polar factor is positive semidefinite: (-U, -P) factors M too.
+        yield "p_definite", max(0.0, -np.linalg.eigvalsh(f["p"].std).min(initial=np.inf)), lim
         yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
     elif "sigma" in f:
         sigma = f["sigma"]
@@ -169,10 +171,14 @@ def cmd_classify(args) -> int:
 
 
 def _get_factor(doc, name) -> DualMatrix:
+    """The factor ``name``, which must be rows x cols like M."""
     try:
-        return fileformat.obj_to_matrix(doc["factors"][name])
+        a = fileformat.obj_to_matrix(doc["factors"][name])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"result document is missing factor {name!r}") from exc
+    if a.shape != (doc["rows"], doc["cols"]):
+        raise ParseError(f"factor {name!r} is {a.shape[0]}x{a.shape[1]}, not the input's shape")
+    return a
 
 
 def _verify(m: DualMatrix, doc: dict, tol: float):

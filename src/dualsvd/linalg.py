@@ -163,7 +163,7 @@ def scale_back(c: float, *parts: np.ndarray) -> tuple:
     """c times each same-shape part; OutOfRange, tested before multiplying so
     that numpy emits no warning, if a product would overflow float64."""
     if np.abs(parts).max(initial=0.0) > sys.float_info.max / c:
-        raise OutOfRange(f"the middle factor scaled back by c = {c:.3e} overflows float64")
+        raise OutOfRange(f"a factor scaled back by c = {c:.3e} overflows float64")
     return tuple(c * p for p in parts)
 
 

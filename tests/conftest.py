@@ -127,11 +127,13 @@ def skew_block_matrix(sb) -> np.ndarray:
 
 
 def pinv_diag_reference(m, tol=1e-8):
-    """``pinv_t(m, tol)`` without its Penrose self-check, with V Sigma^+ the
-    product of V and the diagonal matrix Sigma^+: the formulation that
-    ``pinv_t``'s column scaling is compared against."""
+    """``pinv_t(m, tol)`` without its Penrose self-check, built as the
+    product V Sigma^+ U^T of the T-SVD's factors, with Sigma^+ the diagonal
+    matrix 1/sigma - eps*sigma'/sigma^2: the route that ``pinv_t``'s closed
+    form replaced, kept as its reference.  ``m`` is scaled to unit norm
+    before the SVD, so the SVD's own scaling leaves it as it is."""
     ms, c, scale = unit_scale(m)
-    r, k = _svd(ms, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL, (ms, 1.0, scale))
+    r, k = _svd(ms, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL)
     a, b = r.middle[:2]
     if (np.abs(b[k:]) > tol * scale).any():
         return None

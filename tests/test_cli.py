@@ -395,7 +395,7 @@ class TestCheck:
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
         assert "OutOfRange" in capsys.readouterr().err and not out.exists()
 
-    @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral", "t-polar"])
+    @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral"])
     def test_overflowing_middle_factor_exits_3(self, tmp_path, capsys, kind):
         # Every entry is 1.5e308, so the largest singular value and eigenvalue
         # are 3e308.  Before, scaling them back by c overflowed to inf (with a
@@ -406,11 +406,11 @@ class TestCheck:
         assert "OutOfRange" in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind", ["t-svd", "t-polar"])
+    @pytest.mark.parametrize("kind", ["t-svd"])
     def test_overflowing_product_exits_3(self, tmp_path, capsys, kind):
-        # Sigma fits (8.6e307, 6.3e307), but U Sigma in the reconstruction and
-        # V Sigma in P overflow.  Before, decompose exited 2: it could not
-        # serialize the infinite residual.
+        # Sigma fits (8.6e307, 6.3e307), but U Sigma in the reconstruction
+        # overflows.  Before, decompose exited 2: it could not serialize the
+        # infinite residual.
         inp = str(DATA / "product_overflow_2x2.json")
         out = tmp_path / "r.json"
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
@@ -423,6 +423,17 @@ class TestCheck:
         inp = str(DATA / "product_overflow_2x2.json")
         out = str(tmp_path / "r.json")
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
+        assert main(["check", "--input", inp, "--result", out]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["overflow_2x2.json", "product_overflow_2x2.json"])
+    def test_t_polar_near_the_top_of_the_range_passes(self, tmp_path, name):
+        # P is read off B~ at unit scale and range-tested, and neither sigma
+        # nor U1 Sigma is formed, so both files get a finite polar factor.
+        # Before, decompose exited 3 on both.
+        inp = str(DATA / name)
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "t-polar", "--input", inp, "--output", out]) == 0
         assert main(["check", "--input", inp, "--result", out]) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -458,6 +469,26 @@ class TestCheck:
         out = str(tmp_path / "r.json")
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
         assert main(["check", "--input", inp, "--result", out]) == 0
+
+    def test_negated_polar_factors_fail(self, tmp_path, rng, capsys):
+        # (-U, -P) is T-orthogonal, symmetric and reconstructs M, but -P is
+        # not positive semidefinite.
+        inp, out, doc = decomposed(tmp_path, "t-polar", random_dual_matrix(rng, 3, "generic"))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 0
+        assert "p_definite: residual=0.000e+00" in capsys.readouterr().out
+        for name in ("u", "p"):
+            doc["factors"][name]["entries"] = [[-a, -b] for a, b in doc["factors"][name]["entries"]]
+        out.write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
+        assert "verification failed: p_definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, size", [("sigma", 2), ("u", 4)])
+    def test_factor_of_the_wrong_shape_exits_2(self, tmp_path, rng, capsys, name, size):
+        inp, out, doc = decomposed(tmp_path, "t-svd", random_dual_matrix(rng, 3, "generic"))
+        doc["factors"][name] = matrix_to_obj(DualMatrix(np.eye(size)))
+        out.write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 2
+        assert f"factor {name!r} is {size}x{size}" in capsys.readouterr().err
 
     def test_pinv_nonexistent_check(self, tmp_path):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))

@@ -9,6 +9,7 @@ exactly c times M's.  For other c the invariants hold relative to ||cM||.
 
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from dualsvd import (
     t_polar,
     t_spectral,
 )
+from dualsvd.fileformat import parse_matrix
 from conftest import random_dual_matrix, random_hermitian, random_symmetric
 
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
@@ -192,6 +194,26 @@ def test_pinv_overflow_is_out_of_range_without_a_warning():
             pinv_t(DualMatrix(1e-302 * np.diag([1.0, 1e-7])))
         x = pinv_t(DualMatrix(1e-300 * np.diag([1.0, 1e-7])))
     assert np.allclose(x.std, np.diag([1e300, 1e307]), rtol=1e-15) and not x.inf.any()
+
+
+def test_t_polar_near_the_top_of_the_range_is_finite():
+    # sigma = 8.6e307 and 6.3e307.  P is formed at unit scale and scaled
+    # back, range-tested; U1 Sigma, which overflowed to +-inf, is not formed.
+    m = parse_matrix((Path(__file__).parent / "data" / "product_overflow_2x2.json").read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr = t_polar(m)
+        assert all(np.isfinite(a).all() for a in (pr.u.std, pr.u.inf, pr.p.std, pr.p.inf))
+        assert (pr.u @ pr.p - m).norm() <= 1e-8 * m.norm()
+
+
+def test_t_polar_overflow_is_out_of_range_without_a_warning():
+    # A/c is below the split, so k = 0 and P1 = sqrt(2) * 1.7e308 * I.
+    m = DualMatrix(1e300 * np.eye(2), 1.7e308 * np.array([[1.0, -1.0], [1.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="overflows"):
+            t_polar(m)
 
 
 @pytest.mark.parametrize("n", range(4))
