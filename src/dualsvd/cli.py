@@ -77,6 +77,15 @@ def _middle_of(doc: dict, flavor, n: int) -> tuple:
     return vals.std[at, 0], vals.inf[at, 0] * head, np.repeat(sizes, sizes) * head
 
 
+def _p_definite(p: DualMatrix, split: float) -> float:
+    """How far P is from dual positive semidefinite: P0 >= 0, and P1 >= 0 on
+    the null space of P0, spanned by its eigenvectors at most ``split``."""
+    lam, q = np.linalg.eigh(p.std)
+    null = q[:, lam <= split]
+    low = np.linalg.eigvalsh(null.T @ p.inf @ null).min(initial=np.inf)
+    return max(0.0, -min(lam.min(initial=np.inf), low))
+
+
 def _invariants(m: DualMatrix, doc: dict, f: dict, tol: float):
     """Yield (name, residual, limit) for every invariant of the document
     ``doc`` with factors ``f``.  Each limit is ``tol`` times the scale of its
@@ -89,8 +98,10 @@ def _invariants(m: DualMatrix, doc: dict, f: dict, tol: float):
             yield f"{name}_structure", structure_residual(f[name], flavor.isometry), tol
     if "p" in f:
         yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
-        # A polar factor is positive semidefinite: (-U, -P) factors M too.
-        yield "p_definite", max(0.0, -np.linalg.eigvalsh(f["p"].std).min(initial=np.inf)), lim
+        # A polar factor is positive semidefinite: (-U, -P) factors M too.  The
+        # library's zero eigenvalues of P0 sit near eps*||M||, its kept ones
+        # above its split DEFAULT_SPLIT_TOL*||M||; half of that parts the two.
+        yield "p_definite", _p_definite(f["p"], 0.5 * DEFAULT_SPLIT_TOL * m.norm()), lim
         yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
     elif "sigma" in f:
         sigma = f["sigma"]

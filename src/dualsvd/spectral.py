@@ -10,10 +10,10 @@ B~ by a real rotation; it returns the canonical middle factor as the
 per-index arrays (sigma, sigma', size) that a result holds, and from which
 its blocks (size 1 for T; 2x2 rotation and scalar blocks for star) and its
 matrix are built when read.
-The rest of B~ is absorbed by V = Q0 (I + eps*Omega), Omega_ab = B~_ab /
-(d_b - d_a) across clusters (``_divide_across``, shared with the SVD);
-Omega is skew (T) or symmetric (star), so V is an exact isometry as
-eps**2 = 0.  Inputs are first scaled by a power of two.
+The rest of B~ is absorbed by V = Q0 (I + eps*Omega): Omega_ab = B~_ab /
+(d_b - d_a) across clusters and 0 inside one (``_divide_across``, shared with
+the SVD).  Omega is skew (T) or symmetric (star), so V is an exact isometry
+as eps**2 = 0.  Inputs are first scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -116,21 +116,13 @@ def _cluster_runs(vals: np.ndarray, limit: float) -> list:
     return runs
 
 
-def _fill_clusters(a: np.ndarray, runs, value: float):
-    """Write ``value`` on the diagonal of ``a`` and over each run's block."""
-    a.flat[:: a.shape[0] + 1] = value
+def _divide_across(x: np.ndarray, vals: np.ndarray, runs) -> np.ndarray:
+    """x_ij / (v_j - v_i) across clusters; 0 on the diagonal and in runs."""
+    den = vals - vals[:, None]
+    den.flat[:: len(vals) + 1] = np.inf  # x / inf = 0 there and in runs
     for i, j in runs:
-        a[i:j, i:j] = value
-
-
-def _divide_across(x: np.ndarray, vals: np.ndarray, runs, op=np.subtract) -> np.ndarray:
-    """x_ij / op(v_j, v_i), by default x_ij / (v_j - v_i), across clusters;
-    0 on the diagonal and in runs."""
-    den = op(vals, vals[:, None])
-    _fill_clusters(den, runs, 1.0)
-    out = x / den
-    _fill_clusters(out, runs, 0.0)
-    return out
+        den[i:j, i:j] = np.inf
+    return x / den + 0.0  # x / inf is -0.0 for x < 0
 
 
 def resolve_clusters(vals, runs, bt, flavor: Flavor, scale: float, *isos):

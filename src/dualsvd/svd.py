@@ -5,16 +5,18 @@ For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
 Inputs are first scaled by a power of two to unit norm.  The split is the
 one appreciability rule, read by every consumer: a singular value counts iff
 it exceeds tol*||M||; the rest become zero.  This front end, ``_front``,
-forms B~ = U0^T B V0, and ``_zero_block`` resolves its zero cluster's block
-by a real SVD.  The polar factors and the pseudoinverse are read off B~ in
-closed form.  The SVD alone clusters the appreciable values, as runs of
-neighbours at most cluster_tol*||M|| apart; its one cluster pass,
-``resolve_clusters``, resolves them and gives the middle factor as per-index
-arrays.  The rest of B~ is absorbed by U = U0 (I + eps*Omega_U) and V = V0
-(I + eps*Omega_V), Omega skew (T) or symmetric (star): exact isometries as
-eps**2 = 0.  Across clusters Omega = H/(s_j - s_i) +- K/(s_j + s_i), the SVD
-Jacobian of Papadopoulo & Lourakis (ECCV 2000), for H = (B~ + sign*B~^T)/2
-and K = B~ - H.  Sigma, blocks and residual are built when read.
+forms B~ = U0^T B V0 and resolves its zero cluster's block by a real SVD.
+The SVD, the polar factors and the pseudoinverse each make one call to it
+and read the rest off B~ in closed form.  The SVD alone clusters the
+appreciable values, as runs of neighbours at most cluster_tol*||M|| apart;
+its one cluster pass, ``resolve_clusters``, resolves them and gives the
+middle factor as per-index arrays.  The rest of B~ is absorbed by U = U0
+(I + eps*Omega_U) and V = V0 (I + eps*Omega_V), Omega skew (T) or symmetric
+(star): exact isometries as eps**2 = 0.  For H = (B~ + sign*B~^T)/2 and K =
+B~ - H, Omega_U - Omega_V = 2K/(s_i + s_j) is the polar factor's W, and
+Omega_U + Omega_V = 2H/(s_j - s_i) across clusters and 0 inside one: the
+SVD Jacobian of Papadopoulo & Lourakis (ECCV 2000), split evenly between U
+and V.  Sigma, blocks and residual are built when read.
 """
 
 from __future__ import annotations
@@ -76,58 +78,49 @@ class PolarResult:
 
 
 def _front(m: DualMatrix, tol: float):
-    """(M/c, c, ||M/c||, U0, s, V0, B~, k) for M/c = A + eps*B, A = U0 S V0^T:
-    the k singular values above tol*||M/c|| are appreciable, the rest 0."""
+    """(M/c, c, ||M/c||, U0, s, V0, B~, k, delta) for M/c = A + eps*B, A = U0 S
+    V0^T, whose k singular values above tol*||M/c|| are appreciable, the rest 0.
+    A real SVD P diag(delta) Q^T of the zero block of B~ = U0^T B V0 turns U0,
+    V0 and B~; delta (empty if k = n) is 0 below 1e-12*||M/c||."""
     require_square(m, "svd")
     ms, c, scale = unit_scale(m)
     u0, s, v0t = np.linalg.svd(ms.std)
     v0 = v0t.T
     k = int(np.count_nonzero(s > tol * scale))
     s[k:] = 0.0
-    return ms, c, scale, u0, s, v0, u0.T @ ms.inf @ v0, k
-
-
-def _zero_block(u0, v0, bt, k: int, scale: float) -> np.ndarray:
-    """Resolve the zero block of B~ by a real SVD P diag(delta) Q^T, turning U0,
-    V0 and B~ in place; return delta (empty if k = n), 0 below 1e-12*||M/c||."""
-    if k == len(bt):
-        return np.zeros(0)
-    tail = slice(k, None)
-    p, delta, qt = np.linalg.svd(bt[tail, tail])
-    u0[:, tail] = u0[:, tail] @ p
-    v0[:, tail] = v0[:, tail] @ qt.T
-    bt[tail, :] = p.T @ bt[tail, :]
-    bt[:, tail] = bt[:, tail] @ qt.T
-    delta[delta <= 1e-12 * scale] = 0.0
-    return delta
+    bt = u0.T @ ms.inf @ v0
+    delta = np.zeros(0)
+    if k < len(s):
+        tail = slice(k, None)
+        p, delta, qt = np.linalg.svd(bt[tail, tail])
+        u0[:, tail] = u0[:, tail] @ p
+        v0[:, tail] = v0[:, tail] @ qt.T
+        bt[tail, :] = p.T @ bt[tail, :]
+        bt[:, tail] = bt[:, tail] @ qt.T
+        delta[delta <= 1e-12 * scale] = 0.0
+    return ms, c, scale, u0, s, v0, bt, k, delta
 
 
 def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     """The SVD of ``m`` and its number k of appreciable singular values."""
     flavor = Flavor(flavor)
-    _, c, scale, u0, s, v0, bt, k = _front(m, tol)
-    n = m.shape[0]
+    _, c, scale, u0, s, v0, bt, k, delta = _front(m, tol)
     # Each appreciable cluster's values become their mean: S = s I on it.
-    # The pass turns B~'s cross blocks before the zero block turns them.
     runs = _cluster_runs(s[:k], cluster_tol * scale)
     sp, size = resolve_clusters(s[:k], runs, bt, flavor, scale, u0, v0)
-    sp[k:] = _zero_block(u0, v0, bt, k, scale)
+    sp[k:] = delta
 
-    # B~ = Omega_U S + D - S Omega_V with Omega^T = -sign*Omega.  Across
-    # clusters D = 0, H = (Omega_U + Omega_V)(s_j - s_i)/2 and K = (Omega_U -
-    # Omega_V)(s_j + s_i)/2.  Inside an appreciable cluster S = s I, Omega_V = 0
-    # and Omega_U = K/s; inside the zero cluster S = 0 and D takes all of B~.
+    # B~ = Omega_U S + D - S Omega_V, Omega^T = -sign*Omega, D = Sigma's eps part:
+    # H = (Omega_U + Omega_V)(s_j - s_i)/2, K = (Omega_U - Omega_V)(s_j + s_i)/2.
+    # Only the difference is fixed inside a cluster, so the sum is 0 there.
     h_part = 0.5 * (bt + flavor.sign * bt.T)
     k_part = bt - h_part
-    same = [*runs, (k, n)]
-    om_h, om_k = _divide_across(h_part, s, same), _divide_across(k_part, s, same, np.add)
-    om_u, om_v = om_h + om_k, om_h - om_k
-    om_u.flat[: k * (n + 1) : n + 1] = k_part.diagonal()[:k] / s[:k]
-    for i, j in runs:
-        om_u[i:j, i:j] = k_part[i:j, i:j] / s[i:j, None]
-
-    u = DualMatrix._of(u0, u0 @ om_u)
-    v = DualMatrix._of(v0, v0 @ om_v)
+    den = s + s[:, None]
+    den[k:, k:] = np.inf  # W = 0 on the zero block
+    half_w = k_part / den
+    half_sum = _divide_across(h_part, s, [*runs, (k, len(s))])
+    u = DualMatrix._of(u0, u0 @ (half_sum + half_w))
+    v = DualMatrix._of(v0, v0 @ (half_sum - half_w))
     return SvdResult(u, v, flavor, (*scale_back(c, s, sp), size), m), k
 
 
@@ -166,8 +159,7 @@ def t_polar(m: DualMatrix) -> PolarResult:
     positive semidefinite: Y + W S = B~ for W = 2K/(s_i + s_j) skew and Y = H +
     K (s_i - s_j)/(s_i + s_j) symmetric, where Y solves P0 P1 + P1 P0 = (M^T M)_1
     (Higham, Functions of Matrices, 2008, ch. 8).  On the zero block Y = diag(delta)."""
-    _, c, scale, u0, s, v0, bt, k = _front(m, DEFAULT_SPLIT_TOL)
-    delta = _zero_block(u0, v0, bt, k, scale)
+    _, c, scale, u0, s, v0, bt, k, delta = _front(m, DEFAULT_SPLIT_TOL)
     den = s + s[:, None]
     den[k:, k:] = np.inf  # W = 0 on the zero block
     w = (bt - bt.T) / den  # 2K/D, exactly skew
@@ -202,8 +194,8 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     above tol*||M||: X = V0 (S^+ + eps*X~) U0^T, X~ = [[-B~11_ij/(s_i s_j), S^-2
     B~21^T], [B~12^T S^-2, 0]] (Golub & Pereyra, SIAM J. Numer. Anal. 1973).
     All of it, the Penrose self-check at ``penrose_limits(M, X, 1e-8)`` too, runs on M/c."""
-    m, c, scale, u0, s, v0, bt, k = _front(m, tol)
-    if (_zero_block(u0, v0, bt, k, scale) > tol * scale).any():
+    m, c, scale, u0, s, v0, bt, k, delta = _front(m, tol)
+    if (delta > tol * scale).any():
         return None
     x_std = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)  # s[k:] = 0
     sk = s[:k]

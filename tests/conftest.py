@@ -167,8 +167,9 @@ def corrector_loop(bt, s, flavor):
     Across clusters the pair (i, j), (j, i) is a 2x2 system with determinant
     s_j^2 - s_i^2 and numerators B~_ij s_j - f B~_ji s_i (Omega_U) and
     s_i B~_ij - f B~_ji s_j (Omega_V), f = -1 for T and +1 for star.  Inside
-    an appreciable cluster Omega_U = (B~_ij + f B~_ji) / (2 s_i) and
-    Omega_V = 0; inside the zero cluster both are 0."""
+    an appreciable cluster only Omega_U - Omega_V = (B~_ij + f B~_ji) / (2 s_i)
+    is fixed, and the two take half each: Omega_U = -Omega_V =
+    (B~_ij + f B~_ji) / (4 s_i).  Inside the zero cluster both are 0."""
     f = 1.0 if flavor == "star" else -1.0
     n = len(s)
     om_u, om_v = np.zeros((n, n)), np.zeros((n, n))
@@ -179,7 +180,8 @@ def corrector_loop(bt, s, flavor):
                 om_u[i, j] = (bt[i, j] * s[j] - f * bt[j, i] * s[i]) / det
                 om_v[i, j] = (s[i] * bt[i, j] - f * bt[j, i] * s[j]) / det
             elif s[i] > 0.0:
-                om_u[i, j] = 0.5 * (bt[i, j] + f * bt[j, i]) / s[i]
+                om_u[i, j] = 0.25 * (bt[i, j] + f * bt[j, i]) / s[i]
+                om_v[i, j] = -om_u[i, j]
     return om_u, om_v
 
 

@@ -482,6 +482,18 @@ class TestCheck:
         assert main(["check", "--input", inp, "--result", str(out)]) == 4
         assert "verification failed: p_definite" in capsys.readouterr().err
 
+    def test_polar_factor_indefinite_on_the_null_space_fails(self, tmp_path, capsys):
+        # M = diag(1, 0) + eps*diag(0, 1) has U = I, P = M.  U = diag(1, -1) and
+        # P = diag(1, 0) - eps*diag(0, 1) are T-orthogonal, symmetric and give
+        # U P = M exactly, with P0 >= 0, but P1 < 0 on the null space of P0.
+        m = DualMatrix(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        inp, out, doc = decomposed(tmp_path, "t-polar", m)
+        doc["factors"]["u"] = matrix_to_obj(DualMatrix(np.diag([1.0, -1.0])))
+        doc["factors"]["p"] = matrix_to_obj(DualMatrix(np.diag([1.0, 0.0]), np.diag([0.0, -1.0])))
+        out.write_text(dumps(doc))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
+        assert "verification failed: p_definite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, size", [("sigma", 2), ("u", 4)])
     def test_factor_of_the_wrong_shape_exits_2(self, tmp_path, rng, capsys, name, size):
         inp, out, doc = decomposed(tmp_path, "t-svd", random_dual_matrix(rng, 3, "generic"))

@@ -316,9 +316,9 @@ def every_cluster_kind(rng, n, exact):
 
 
 class TestEveryCorrectorWrite:
-    """One input reaches every write of the first-order corrector: the
-    divisions across clusters, the blocks of a 2- and a 3-value cluster, the
-    singletons' diagonal and the zero cluster's block."""
+    """One input reaches every case of the first-order corrector: the
+    divisions across clusters, the even split of W inside a 2- and a 3-value
+    cluster and on the singletons' diagonal, and the zero cluster's block."""
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("n", [8, 10, 12])
@@ -422,6 +422,55 @@ class TestPolarAccuracy:
         s = np.concatenate(([1.0, 1.0, 1.0, 1.0, 1.0 + 5e-8], rng.uniform(0.5, 2.0, n - 5)))
         m = DualMatrix(q1 @ np.diag(s) @ q2.T, rng.uniform(-1.0, 1.0, (n, n)))
         assert polar_defect(m, t_polar(m)) <= 1e-13
+
+
+# The largest difference between the two routes over n*eps*max|B|/gap was
+# 2.1 in 3120 draws at n = 2..128 (n = 4, rank 1), so this leaves over 140x.
+ROUTE_MULTIPLE = 300.0
+
+
+def route_draw(rng, n, case):
+    """A = Q1 diag(s) Q2^T with ||A|| = 1 and B with max|B| = 1: s uniform in
+    [0.05, 1], with exact 2- and 3-value clusters and a zero tail as ``case``
+    asks, or A a Gaussian matrix over its 2-norm."""
+    if case == "gaussian":
+        a = rng.standard_normal((n, n))
+        m = DualMatrix(a / np.linalg.norm(a, 2), rng.standard_normal((n, n)))
+    else:
+        s = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
+        s[0] = 1.0
+        if "clusters" in case and n >= 6:
+            s[1:3], s[3:6] = s[1], s[3]
+        if case.startswith("rankdef"):
+            s[rng.integers(1, n) if n > 1 else 0 :] = 0.0
+        m = planted(rng, s, n)
+    return DualMatrix(m.std, m.inf / np.abs(m.inf).max())
+
+
+class TestAgainstPolarRoute:
+    """The T-SVD's factors against t_polar's closed form, a route with no
+    cluster pass and no division by a gap.  From M = U Sigma V^T, U V^T is the
+    polar factor U when A is invertible, and V Sigma V^T is always P; below
+    full rank U is free on the null space, so U P is compared instead.  The
+    SVD's Omega divides by the gap between distinct clusters, so the routes
+    differ by up to n*eps*max|B|/gap; each limit is ``ROUTE_MULTIPLE`` times
+    that."""
+
+    @pytest.mark.parametrize("case", ["gaussian", "clusters", "rankdef", "rankdef_clusters"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32, 64, 128])
+    def test_polar_factors_from_the_svd(self, rng, n, case):
+        for _ in range(10 if n <= 32 else 3):
+            m = route_draw(rng, n, case)
+            r, pr = svd(m, FLAVOR_T), t_polar(m)
+            sig = r.middle[0]
+            gaps = sig[:-1] - sig[1:]
+            gap = gaps[gaps > 0.0].min(initial=1.0)
+            limit = ROUTE_MULTIPLE * n * np.finfo(float).eps / gap
+            assert (r.v @ r.sigma @ r.v.T - pr.p).norm() <= limit
+            if case.startswith("rankdef"):
+                assert (r.reconstruct() - pr.u @ pr.p).norm() <= limit
+            else:
+                assert (r.u @ r.v.T - pr.u).norm() <= limit
 
 
 def pinv_exists_1x1(a, b):
