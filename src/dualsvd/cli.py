@@ -154,7 +154,7 @@ def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> di
 
 def cmd_decompose(args) -> int:
     m = fileformat.parse_matrix(_read(args.input))
-    doc = build_result(m, args.kind, args.tol, args.cluster_tol)
+    doc = build_result(m, args.kind, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
     text = fileformat.dumps(doc)
     if args.output:
         with open(args.output, "w") as f:
@@ -192,9 +192,9 @@ def _get_factor(doc, name) -> DualMatrix:
     return a
 
 
-def _verify(m: DualMatrix, doc: dict, tol: float):
+def _verify(m: DualMatrix, doc: dict):
     """Yield (name, residual, limit) triples for every invariant of the
-    result document."""
+    result document, each limit ``ORTHONORMAL_TOL`` times its scale."""
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"result document has unknown kind {kind!r}")
@@ -203,7 +203,7 @@ def _verify(m: DualMatrix, doc: dict, tol: float):
         yield "nonexistence_confirmed", (0.0 if again is None else 1.0), 0.5
         return
     factors = {name: _get_factor(doc, name) for name in KIND_FACTORS[kind][1]}
-    yield from _invariants(m, doc, factors, tol)
+    yield from _invariants(m, doc, factors, ORTHONORMAL_TOL)
 
 
 def cmd_check(args) -> int:
@@ -213,7 +213,7 @@ def cmd_check(args) -> int:
         raise ParseError("result document must be an object")
     if doc.get("rows") != m.shape[0] or doc.get("cols") != m.shape[1]:
         raise ParseError("result document dimensions do not match the input")
-    for name, residual, limit in _verify(m, doc, args.tol):
+    for name, residual, limit in _verify(m, doc):
         print(f"{name}: residual={residual:.3e} limit={limit:.3e}")
         if not residual <= limit:
             print(f"verification failed: {name}", file=sys.stderr)
@@ -232,17 +232,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--kind", required=True, choices=KINDS)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output")
-    p_dec.add_argument(
-        "--tol", type=float, default=DEFAULT_SPLIT_TOL,
-        help="relative to ||M||: split threshold (t-svd, star-svd), split and existence "
-        "threshold (pinv), structure tolerance (t-spectral, star-spectral); t-polar "
-        "ignores it (default %(default)g)",
-    )
-    p_dec.add_argument(
-        "--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
-        help="largest gap, relative to ||M||, between singular values or eigenvalues "
-        "that count as one; t-polar and pinv ignore it (default %(default)g)",
-    )
     p_dec.set_defaults(func=cmd_decompose)
 
     p_cls = sub.add_parser("classify", help="classify a 2x2 Laguerre transform")
@@ -252,7 +241,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="re-verify a result document")
     p_chk.add_argument("--input", required=True)
     p_chk.add_argument("--result", required=True)
-    p_chk.add_argument("--tol", type=float, default=ORTHONORMAL_TOL)
     p_chk.set_defaults(func=cmd_check)
 
     return parser

@@ -11,7 +11,7 @@ import pytest
 
 import dualsvd
 from dualsvd import FLAVOR_STAR, FLAVOR_T, Dual, DualMatrix, adjoint, errors
-from dualsvd.cli import _middle_of, build_result, main, make_parser
+from dualsvd.cli import _middle_of, build_result, main
 from dualsvd.fileformat import (
     ParseError,
     dumps,
@@ -20,7 +20,6 @@ from dualsvd.fileformat import (
     obj_to_matrix,
     parse_matrix,
 )
-from dualsvd.linalg import ORTHONORMAL_TOL
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
 from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
 from conftest import (
@@ -226,11 +225,36 @@ class TestDecompose:
         ) == 3
 
 
-    def test_parser_defaults_are_the_library_constants(self):
-        dec = make_parser().parse_args(["decompose", "--kind", "pinv", "--input", "m.json"])
-        assert (dec.tol, dec.cluster_tol) == (DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
-        chk = make_parser().parse_args(["check", "--input", "m.json", "--result", "r.json"])
-        assert chk.tol == ORTHONORMAL_TOL
+    @pytest.mark.parametrize(
+        "command, option",
+        [("decompose", "--tol"), ("decompose", "--cluster-tol"), ("check", "--tol")],
+        ids=["decompose-tol", "decompose-cluster-tol", "check-tol"],
+    )
+    def test_tolerance_options_are_usage_errors(self, tmp_path, capsys, command, option):
+        # decompose runs only at the library defaults and check judges only
+        # at ORTHONORMAL_TOL, the tolerances every document was written for.
+        inp = write_matrix(tmp_path / "m.json", DualMatrix(np.diag([2.0, 1.0])))
+        out = str(tmp_path / "r.json")
+        assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", out]) == 0
+        rest = ["--kind", "t-svd"] if command == "decompose" else ["--result", out]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", inp, *rest, option, "1e-8"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_library_error_exits_4(self, tmp_path, capsys):
+        # A nearly singular A: pinv_t's Penrose self-check finds MX about
+        # 75 times further from symmetric than its limit.
+        rng = np.random.default_rng(1)
+        q1 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        a = q1 @ np.diag([1.0, 0.5, 1e-4]) @ q2.T
+        inp = write_matrix(tmp_path / "m.json", DualMatrix(a, rng.standard_normal((3, 3))))
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestClassify:
