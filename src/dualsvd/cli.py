@@ -86,16 +86,15 @@ def _p_definite(p: DualMatrix, split: float) -> float:
     return max(0.0, -min(lam.min(initial=np.inf), low))
 
 
-def _invariants(m: DualMatrix, doc: dict, f: dict, tol: float):
+def _invariants(m: DualMatrix, doc: dict, f: dict):
     """Yield (name, residual, limit) for every invariant of the document
-    ``doc`` with factors ``f``.  Each limit is ``tol`` times the scale of its
-    residual: 1 for an isometry, ``penrose_limits`` for the Penrose
-    identities, and ||M|| for every other residual."""
+    ``doc`` with factors ``f``.  Each limit is ``ORTHONORMAL_TOL`` times the
+    scale of its residual: 1 for an isometry, ``penrose_limits`` for the
+    Penrose identities, and ||M|| for every other residual."""
     flavor = KIND_FACTORS[doc["kind"]][0]
-    lim = tol * m.norm()
-    for name in ("u", "v"):
-        if name in f:
-            yield f"{name}_structure", structure_residual(f[name], flavor.isometry), tol
+    lim = ORTHONORMAL_TOL * m.norm()
+    for name in sorted(f.keys() & {"u", "v"}):
+        yield f"{name}_structure", structure_residual(f[name], flavor.isometry), ORTHONORMAL_TOL
     if "p" in f:
         yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
         # A polar factor is positive semidefinite: (-U, -P) factors M too.  The
@@ -117,7 +116,7 @@ def _invariants(m: DualMatrix, doc: dict, f: dict, tol: float):
         recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
         yield "reconstruction", (recon - m).norm(), lim
     elif "pinv" in f:
-        lims = penrose_limits(m, f["pinv"], tol)
+        lims = penrose_limits(m, f["pinv"])
         for name, val in penrose_residuals(m, f["pinv"]).items():
             yield f"penrose_{name}", val, lims[name]
 
@@ -145,7 +144,7 @@ def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> di
         if x is None:
             doc["outcome"] = "nonexistent"
     doc["factors"] = {name: fileformat.matrix_to_obj(a) for name, a in factors.items()}
-    doc["residuals"] = {name: res for name, res, _ in _invariants(m, doc, factors, tol)}
+    doc["residuals"] = {name: res for name, res, _ in _invariants(m, doc, factors)}
     for name, res in doc["residuals"].items():
         if not np.isfinite(res):
             raise OutOfRange(f"residual {name} is not finite: a product of factors overflows")
@@ -199,11 +198,10 @@ def _verify(m: DualMatrix, doc: dict):
     if kind not in KINDS:
         raise ParseError(f"result document has unknown kind {kind!r}")
     if kind == "pinv" and doc.get("outcome") == "nonexistent":
-        again = pinv_t(m)
-        yield "nonexistence_confirmed", (0.0 if again is None else 1.0), 0.5
+        yield "nonexistence_confirmed", float(pinv_t(m) is not None), 0.5
         return
     factors = {name: _get_factor(doc, name) for name in KIND_FACTORS[kind][1]}
-    yield from _invariants(m, doc, factors, ORTHONORMAL_TOL)
+    yield from _invariants(m, doc, factors)
 
 
 def cmd_check(args) -> int:

@@ -74,9 +74,7 @@ class Dual:
 
 
 def _coerce(x) -> Dual:
-    if isinstance(x, Dual):
-        return x
-    return Dual(float(x))
+    return x if isinstance(x, Dual) else Dual(float(x))
 
 
 ZERO = Dual(0.0)
@@ -92,8 +90,7 @@ def poly_eval(coeffs, x: Dual) -> Dual:
     F(a + b*eps) = F(a) + eps*b*F'(a).
     """
     a, b = x.std, x.inf
-    f = 0.0
-    fprime = 0.0
+    f, fprime = 0.0, 0.0
     for c in reversed(list(coeffs)):
         fprime = fprime * a + f
         f = f * a + float(c)

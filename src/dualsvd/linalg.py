@@ -154,8 +154,6 @@ def unit_scale(m: DualMatrix):
     if nrm < sys.float_info.min:
         raise OutOfRange(f"||M|| = {nrm:.3e} is below the smallest normal float64")
     c = math.ldexp(1.0, math.frexp(nrm)[1] - 1)
-    if c == 1.0:
-        return m, c, nrm
     return DualMatrix._of(m.std / c, m.inf / c), c, nrm / c
 
 

@@ -34,10 +34,6 @@ class SkewBlockForm:
     zero_count: int = 0
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.abs(a).max()) if a.size else 0.0
-
-
 def _first_sizeable(q: np.ndarray) -> np.ndarray:
     """Each column's first component of meaningful size."""
     if not q.size:
@@ -71,7 +67,8 @@ def sym_eig(a, tol: float = 1e-9, check: bool = True) -> RealSpectral:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise NotSymmetric(f"matrix is not square: {a.shape}")
-        if not _maxabs(a - a.T) <= tol * _maxabs(a) < math.inf:  # NaN, inf fail
+        limit = tol * np.abs(a).max(initial=0.0)
+        if not np.abs(a - a.T).max(initial=0.0) <= limit < math.inf:  # NaN, inf fail
             raise NotSymmetric("matrix is not symmetric within tolerance")
         a = 0.5 * (a + a.T)
     eigenvalues, q = np.linalg.eigh(a)
@@ -87,8 +84,8 @@ def skew_block_diag(a, tol: float = 1e-9, check: bool = True) -> SkewBlockForm:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise NotSkewSymmetric(f"matrix is not square: {a.shape}")
-    limit = tol * _maxabs(a)
-    if check and not _maxabs(a + a.T) <= limit < math.inf:  # NaN, inf fail
+    limit = tol * np.abs(a).max(initial=0.0)
+    if check and not np.abs(a + a.T).max(initial=0.0) <= limit < math.inf:  # NaN, inf fail
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     n = len(a)
     mus, z = np.linalg.eigh(1j * (0.5 * (a - a.T) if check else a))

@@ -21,13 +21,20 @@ and V.  Sigma, blocks and residual are built when read.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertible, OutOfRange, VerificationError
-from .linalg import DualMatrix, Flavor, adjoint, require_square, scale_back, unit_scale
+from .errors import NotInvertible, VerificationError
+from .linalg import (
+    ORTHONORMAL_TOL,
+    DualMatrix,
+    Flavor,
+    adjoint,
+    require_square,
+    scale_back,
+    unit_scale,
+)
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     HeldMiddle,
@@ -101,8 +108,13 @@ def _front(m: DualMatrix, tol: float):
     return ms, c, scale, u0, s, v0, bt, k, delta
 
 
-def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
-    """The SVD of ``m`` and its number k of appreciable singular values."""
+def svd(
+    m: DualMatrix,
+    flavor: str,
+    tol: float = DEFAULT_SPLIT_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> SvdResult:
+    """T-SVD or *-SVD of an arbitrary square dual matrix."""
     flavor = Flavor(flavor)
     _, c, scale, u0, s, v0, bt, k, delta = _front(m, tol)
     # Each appreciable cluster's values become their mean: S = s I on it.
@@ -114,44 +126,33 @@ def _svd(m: DualMatrix, flavor: str, tol: float, cluster_tol: float):
     # H = (Omega_U + Omega_V)(s_j - s_i)/2, K = (Omega_U - Omega_V)(s_j + s_i)/2.
     # Only the difference is fixed inside a cluster, so the sum is 0 there.
     h_part = 0.5 * (bt + flavor.sign * bt.T)
-    k_part = bt - h_part
     den = s + s[:, None]
     den[k:, k:] = np.inf  # W = 0 on the zero block
-    half_w = k_part / den
+    half_w = (bt - h_part) / den
     half_sum = _divide_across(h_part, s, [*runs, (k, len(s))])
     u = DualMatrix._of(u0, u0 @ (half_sum + half_w))
     v = DualMatrix._of(v0, v0 @ (half_sum - half_w))
-    return SvdResult(u, v, flavor, (*scale_back(c, s, sp), size), m), k
+    return SvdResult(u, v, flavor, (*scale_back(c, s, sp), size), m)
 
 
 def svd_invertible(m: DualMatrix, flavor: str) -> SvdResult:
     """SVD of a dual matrix whose standard part is invertible: the general
-    SVD, with every singular value appreciable."""
-    r, k = _svd(m, flavor, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
-    if k < m.shape[0]:
+    SVD, with every singular value appreciable, so none is the split's 0."""
+    r = svd(m, flavor)
+    if np.count_nonzero(r.middle[0]) < m.shape[0]:
         raise NotInvertible("standard part is numerically singular")
     return r
 
 
 def split_subspaces(m: DualMatrix, flavor: str) -> SubspaceSplit:
     """Split the right singular vectors by image appreciability: the first
-    k columns of the SVD's V, for the k appreciable singular values, and the
-    rest."""
-    r, k = _svd(m, flavor, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
-    v = r.v
+    k columns of the SVD's V, for the k appreciable (nonzero) singular values,
+    and the rest."""
+    r = svd(m, flavor)
+    v, k = r.v, np.count_nonzero(r.middle[0])
     return SubspaceSplit(
         DualMatrix._of(v.std[:, :k], v.inf[:, :k]), DualMatrix._of(v.std[:, k:], v.inf[:, k:])
     )
-
-
-def svd(
-    m: DualMatrix,
-    flavor: str,
-    tol: float = DEFAULT_SPLIT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SvdResult:
-    """T-SVD or *-SVD of an arbitrary square dual matrix."""
-    return _svd(m, flavor, tol, cluster_tol)[0]
 
 
 def t_polar(m: DualMatrix) -> PolarResult:
@@ -181,19 +182,19 @@ def penrose_residuals(m: DualMatrix, x: DualMatrix) -> dict:
     }
 
 
-def penrose_limits(m: DualMatrix, x: DualMatrix, tol: float) -> dict:
-    """Each Penrose identity's limit: ``tol`` times the scale of its
-    residual.  MXM - M scales like M and XMX - X like X; MX and XM are
-    dimensionless, so their symmetry defects get ``tol`` itself."""
-    lims = {"mxm": tol * m.norm(), "xmx": tol * x.norm()}
-    return lims | {"mx_symmetric": tol, "xm_symmetric": tol}
+def penrose_limits(m: DualMatrix, x: DualMatrix) -> dict:
+    """Each Penrose identity's limit: ``ORTHONORMAL_TOL`` times the scale of
+    its residual.  MXM - M scales like M and XMX - X like X; MX and XM are
+    dimensionless, so their symmetry defects get ``ORTHONORMAL_TOL`` itself."""
+    t = ORTHONORMAL_TOL
+    return {"mxm": t * m.norm(), "xmx": t * x.norm(), "mx_symmetric": t, "xm_symmetric": t}
 
 
 def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     """Moore-Penrose pseudoinverse, or None when a delta of the zero block is
     above tol*||M||: X = V0 (S^+ + eps*X~) U0^T, X~ = [[-B~11_ij/(s_i s_j), S^-2
     B~21^T], [B~12^T S^-2, 0]] (Golub & Pereyra, SIAM J. Numer. Anal. 1973).
-    All of it, the Penrose self-check at ``penrose_limits(M, X, 1e-8)`` too, runs on M/c."""
+    All of it, the Penrose self-check at ``penrose_limits(M, X)`` too, runs on M/c."""
     m, c, scale, u0, s, v0, bt, k, delta = _front(m, tol)
     if (delta > tol * scale).any():
         return None
@@ -206,9 +207,7 @@ def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
     x_inf[k:, :k] = bt[:k, k:].T / (sk * sk)
     x = DualMatrix._of(np.multiply(v0, x_std, order="C") @ u0.T, v0 @ x_inf @ u0.T)
     residuals = penrose_residuals(m, x)
-    for name, limit in penrose_limits(m, x, 1e-8).items():
+    for name, limit in penrose_limits(m, x).items():
         if not residuals[name] <= limit:
             raise VerificationError(f"Penrose {name}: {residuals[name]:.3e} > limit {limit:.3e}")
-    if x.norm() > c * sys.float_info.max:  # X / c would overflow
-        raise OutOfRange(f"the pseudoinverse overflows float64 at ||M|| = {c * scale:.3e}")
-    return x if c == 1.0 else DualMatrix._of(x.std / c, x.inf / c)
+    return DualMatrix._of(*scale_back(1.0 / c, x.std, x.inf))

@@ -219,7 +219,7 @@ def test_criterion_5_pseudoinverse_dichotomy(capsys):
         m = random_dual_matrix(rng, n, REGIMES[k % 4])
         x = pinv_t(m)
         if x is not None:
-            lims = penrose_limits(m, x, 1e-8)
+            lims = penrose_limits(m, x)
             for name, res in penrose_residuals(m, x).items():
                 worst = max(worst, scaled(res, lims[name]))
     if worst > 1.0:

@@ -193,6 +193,8 @@ class TestDecompose:
         bad.write_text("nope")
         assert main(["decompose", "--kind", "t-svd", "--input", str(bad)]) == 2
         assert main(["decompose", "--kind", "t-svd", "--input", str(tmp_path / "absent.json")]) == 2
+        with pytest.raises(ParseError, match="unknown kind"):
+            build_result(DualMatrix(np.eye(2)), "lu", DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
 
     def test_pinv_rank_deficient_n32(self, tmp_path, capsys):
         # n=32, rank 31, smallest appreciable singular value 4.9e-3: the SVD

@@ -28,6 +28,7 @@ class TestRingOps:
         x = Dual(2.5, -7.0)
         assert x + ZERO == x
         assert ZERO + x == x
+        assert -x == Dual(-2.5, 7.0) and x + (-x) == ZERO
 
     def test_conj_flips_inf(self):
         assert Dual(2, -5).conj() == Dual(2, 5)

@@ -6,6 +6,7 @@ import pytest
 
 from dualsvd import (
     FLAVOR_STAR,
+    DimensionMismatch,
     Dual,
     DualMatrix,
     LaguerreTransform,
@@ -84,6 +85,10 @@ class TestClassify:
             classify_transform(
                 LaguerreTransform(DualMatrix([[0, 0], [0, 1]], [[1, 0], [0, 0]]))
             )
+
+    def test_not_2x2_rejected(self):
+        with pytest.raises(DimensionMismatch, match="2x2"):
+            LaguerreTransform(DualMatrix(np.eye(3)))
 
     def test_reconstruct_matches_the_block_list(self, rng):
         # The middle factor from its per-index arrays is, bit for bit, the one

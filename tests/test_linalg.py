@@ -35,6 +35,7 @@ class TestMatrixOps:
     def test_mul_identity(self, rng):
         m = DualMatrix(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
         assert ((m @ DualMatrix(np.eye(3))) - m).norm() == 0.0
+        assert (m + (-m)).norm() == 0.0
 
     def test_eps_matrix_squares_to_zero(self):
         e = DualMatrix([[0.0]], [[1.0]])
@@ -58,6 +59,8 @@ class TestMatrixOps:
             DualMatrix(np.zeros((2, 3))) @ DualMatrix(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
             DualMatrix(np.zeros((2, 2))) + DualMatrix(np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            DualMatrix(np.zeros((2, 2))) - DualMatrix(np.zeros((3, 3)))
 
     def test_parts_must_be_2d(self):
         # A 1-D part is not read as a 1 x n row (nor as a column).
@@ -180,6 +183,8 @@ class TestStructure:
         i = DualMatrix(np.eye(3))
         for kind in ("symmetric", "hermitian", "t_orthogonal", "unitary"):
             assert structure_residual(i, kind) == 0.0
+        with pytest.raises(ValueError, match="unknown structure kind"):
+            structure_residual(i, "orthogonal")
 
     def test_infinitesimal_rotation_is_hermitian(self):
         m = DualMatrix([[0, 0], [0, 0]], [[0, -1], [1, 0]])

@@ -150,6 +150,8 @@ class TestSkewBlockDiag:
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetric):
             skew_block_diag(np.eye(2))
+        with pytest.raises(NotSkewSymmetric, match="not square"):
+            skew_block_diag(np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "a", [[[0.0, np.inf], [-np.inf, 0.0]], [[0.0, np.inf], [np.inf, 0.0]]]

@@ -92,7 +92,9 @@ KINDS = ("svd-T", "svd-star", "pinv_t", "t_spectral", "star_spectral", "classify
 def test_power_of_two_scaling_is_exact(rng, kind):
     for m in draws(rng, kind):
         fixed, scaled, p = fixed_and_scaled(kind, run(kind, m))
-        for k in range(-30, 31):
+        # Down to -1000 (at -1021 the entries of M themselves go subnormal)
+        # and up to 1021, where c*||M|| is near the top of the range.
+        for k in [*range(-30, 31), -1000, -600, 600, 1000, 1020, 1021]:
             c = 2.0**k
             r = run(kind, DualMatrix(m.std * c, m.inf * c))
             fixed_c, scaled_c, _ = fixed_and_scaled(kind, r)
