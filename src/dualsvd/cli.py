@@ -17,6 +17,8 @@ from .errors import DualLinAlgError, NotSquare, OutOfRange, PreconditionViolatio
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
 from .linalg import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_SPLIT_TOL,
     FLAVOR_STAR,
     FLAVOR_T,
     ORTHONORMAL_TOL,
@@ -25,8 +27,8 @@ from .linalg import (
     require_square,
     structure_residual,
 )
-from .spectral import DEFAULT_CLUSTER_TOL, middle_matrix, star_spectral, t_spectral
-from .svd import DEFAULT_SPLIT_TOL, penrose_limits, penrose_residuals, pinv_t, svd, t_polar
+from .spectral import middle_matrix, star_spectral, t_spectral
+from .svd import penrose_limits, penrose_residuals, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
 KIND_FACTORS = {
@@ -122,24 +124,26 @@ def _invariants(m: DualMatrix, doc: dict, f: dict):
 
 
 def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:
+    if (tol, cluster_tol) != (DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL):
+        raise ValueError("tol and cluster_tol must be the library's constant tolerances")
     require_square(m, "decompose")
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     flavor = KIND_FACTORS[kind][0]
     doc: dict = {"kind": kind, "rows": m.shape[0], "cols": m.shape[1], "outcome": "ok"}
     if kind.endswith("-svd"):
-        r = svd(m, flavor, tol, cluster_tol)
+        r = svd(m, flavor)
         factors = {"u": r.u, "sigma": r.sigma, "v": r.v}
         doc["summary"] = _summary(r)
     elif kind.endswith("-spectral"):
-        r = (star_spectral if flavor is FLAVOR_STAR else t_spectral)(m, tol, cluster_tol)
+        r = (star_spectral if flavor is FLAVOR_STAR else t_spectral)(m)
         factors = {"v": r.v, "sigma": r.sigma_matrix()}
         doc["summary"] = _summary(r)
     elif kind == "t-polar":
         r = t_polar(m)
         factors = {"u": r.u, "p": r.p}
     else:
-        x = pinv_t(m, tol)
+        x = pinv_t(m)
         factors = {} if x is None else {"pinv": x}
         if x is None:
             doc["outcome"] = "nonexistent"
@@ -209,7 +213,8 @@ def cmd_check(args) -> int:
     doc = fileformat.loads(_read(args.result))
     if not isinstance(doc, dict):
         raise ParseError("result document must be an object")
-    if doc.get("rows") != m.shape[0] or doc.get("cols") != m.shape[1]:
+    dims = doc.get("rows"), doc.get("cols")
+    if not all(type(z) is int for z in dims) or dims != m.shape:
         raise ParseError("result document dimensions do not match the input")
     for name, residual, limit in _verify(m, doc):
         print(f"{name}: residual={residual:.3e} limit={limit:.3e}")

@@ -26,7 +26,7 @@ class NotSkewSymmetric(DualLinAlgError):
 
 
 class NotHermitian(PreconditionViolation):
-    """Input is not Hermitian within the requested tolerance."""
+    """Input is not Hermitian within ORTHONORMAL_TOL times its norm."""
 
 
 class NotInvertible(PreconditionViolation):

@@ -48,6 +48,10 @@ _FLAVOR_OF_KIND = {kind: f for f in Flavor for kind in (f.isometry, f.self_adjoi
 INDEPENDENCE_TOL = 1e-10
 # Largest ||P^adj P - I|| of an orthonormal set: the CLI check's isometry limit.
 ORTHONORMAL_TOL = 1e-8
+# Relative threshold at or below which a singular value is the split's 0.
+DEFAULT_SPLIT_TOL = 1e-8
+# Relative gap at or below which neighbouring values form one cluster.
+DEFAULT_CLUSTER_TOL = 1e-8
 
 
 def require_square(m, what: str):

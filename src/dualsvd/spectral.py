@@ -3,8 +3,8 @@
 For M = A + eps*B, one real eigendecomposition A = Q0 D Q0^T fixes the
 standard parts and B~ = (C + sign*C^T)/2 for C = Q0^T B Q0.  ``_cluster_runs``
 groups near-equal values by one rule, for the eigenvalues d here and the
-singular values s of the SVD: neighbours at most cluster_tol*||M|| apart
-form one (start, stop) run.  ``resolve_clusters``, the one pass over
+singular values s of the SVD: neighbours at most DEFAULT_CLUSTER_TOL*||M||
+apart form one (start, stop) run.  ``resolve_clusters``, the one pass over
 clusters, gives each run the mean of its values and resolves its block of
 B~ by a real rotation; it returns the canonical middle factor as the
 per-index arrays (sigma, sigma', size) that a result holds, and from which
@@ -25,8 +25,10 @@ import numpy as np
 from .dual import Dual
 from .errors import NotHermitian, NotSymmetric
 from .linalg import (
+    DEFAULT_CLUSTER_TOL,
     FLAVOR_STAR,
     FLAVOR_T,
+    ORTHONORMAL_TOL,
     DualMatrix,
     Flavor,
     require_square,
@@ -35,8 +37,6 @@ from .linalg import (
     unit_scale,
 )
 from .realspec import skew_block_diag, sym_eig
-
-DEFAULT_CLUSTER_TOL = 1e-8
 
 
 @dataclass
@@ -162,10 +162,10 @@ def resolve_clusters(vals, runs, bt, flavor: Flavor, scale: float, *isos):
     return sp, size
 
 
-def _decompose(m: DualMatrix, flavor: Flavor, error, tol: float, cluster_tol: float):
+def _decompose(m: DualMatrix, flavor: Flavor, error):
     require_square(m, "spectral decomposition")
     m, c, scale = unit_scale(m)
-    if structure_residual(m, flavor.self_adjoint) > tol * scale:
+    if structure_residual(m, flavor.self_adjoint) > ORTHONORMAL_TOL * scale:
         raise error(f"matrix is not {flavor.self_adjoint} within tolerance")
 
     spec = sym_eig(0.5 * (m.std + m.std.T), check=False)
@@ -175,7 +175,7 @@ def _decompose(m: DualMatrix, flavor: Flavor, error, tol: float, cluster_tol: fl
     bt = q0.T @ m.inf @ q0
     bt = 0.5 * (bt + flavor.sign * bt.T)
     # Clusters take their mean value (D = d I on each) before Omega divides.
-    runs = _cluster_runs(d, cluster_tol * scale)
+    runs = _cluster_runs(d, DEFAULT_CLUSTER_TOL * scale)
     sp, size = resolve_clusters(d, runs, bt, flavor, scale, q0)
 
     # M = V Sigma V^adj with V = Q0 (I + eps*Omega): across clusters
@@ -184,15 +184,11 @@ def _decompose(m: DualMatrix, flavor: Flavor, error, tol: float, cluster_tol: fl
     return SpectralDecomposition(v, flavor, (*scale_back(c, d, sp), size))
 
 
-def star_spectral(
-    m: DualMatrix, tol: float = 1e-8, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> SpectralDecomposition:
+def star_spectral(m: DualMatrix) -> SpectralDecomposition:
     """Decompose a Hermitian dual matrix as M = V Sigma V* with unitary V."""
-    return _decompose(m, FLAVOR_STAR, NotHermitian, tol, cluster_tol)
+    return _decompose(m, FLAVOR_STAR, NotHermitian)
 
 
-def t_spectral(
-    m: DualMatrix, tol: float = 1e-8, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> SpectralDecomposition:
+def t_spectral(m: DualMatrix) -> SpectralDecomposition:
     """Decompose a symmetric dual matrix as M = V D V^T with T-orthogonal V."""
-    return _decompose(m, FLAVOR_T, NotSymmetric, tol, cluster_tol)
+    return _decompose(m, FLAVOR_T, NotSymmetric)

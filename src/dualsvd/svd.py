@@ -4,19 +4,19 @@ the Moore-Penrose pseudoinverse.
 For M = A + eps*B, one real SVD A = U0 S V0^T fixes the standard parts.
 Inputs are first scaled by a power of two to unit norm.  The split is the
 one appreciability rule, read by every consumer: a singular value counts iff
-it exceeds tol*||M||; the rest become zero.  This front end, ``_front``,
-forms B~ = U0^T B V0 and resolves its zero cluster's block by a real SVD.
-The SVD, the polar factors and the pseudoinverse each make one call to it
-and read the rest off B~ in closed form.  The SVD alone clusters the
-appreciable values, as runs of neighbours at most cluster_tol*||M|| apart;
-its one cluster pass, ``resolve_clusters``, resolves them and gives the
-middle factor as per-index arrays.  The rest of B~ is absorbed by U = U0
-(I + eps*Omega_U) and V = V0 (I + eps*Omega_V), Omega skew (T) or symmetric
-(star): exact isometries as eps**2 = 0.  For H = (B~ + sign*B~^T)/2 and K =
-B~ - H, Omega_U - Omega_V = 2K/(s_i + s_j) is the polar factor's W, and
-Omega_U + Omega_V = 2H/(s_j - s_i) across clusters and 0 inside one: the
-SVD Jacobian of Papadopoulo & Lourakis (ECCV 2000), split evenly between U
-and V.  Sigma, blocks and residual are built when read.
+it exceeds DEFAULT_SPLIT_TOL*||M||; the rest become zero.  This front end,
+``_front``, forms B~ = U0^T B V0 and resolves its zero cluster's block by a
+real SVD.  The SVD, the polar factors and the pseudoinverse each make one
+call to it and read the rest off B~ in closed form.  The SVD alone clusters
+the appreciable values, as runs of neighbours at most
+DEFAULT_CLUSTER_TOL*||M|| apart; its one cluster pass, ``resolve_clusters``,
+resolves them and gives the middle factor as per-index arrays.  The rest of
+B~ is absorbed by U = U0 (I + eps*Omega_U) and V = V0 (I + eps*Omega_V),
+Omega skew (T) or symmetric (star): exact isometries as eps**2 = 0.  For H =
+(B~ + sign*B~^T)/2 and K = B~ - H, Omega_U - Omega_V = 2K/(s_i + s_j) is the
+polar factor's W, and Omega_U + Omega_V = 2H/(s_j - s_i) across clusters and
+0 inside one: the SVD Jacobian of Papadopoulo & Lourakis (ECCV 2000), split
+evenly between U and V.  Sigma, blocks and residual are built when read.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import NotInvertible, VerificationError
 from .linalg import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_SPLIT_TOL,
     ORTHONORMAL_TOL,
     DualMatrix,
     Flavor,
@@ -36,15 +38,12 @@ from .linalg import (
     unit_scale,
 )
 from .spectral import (
-    DEFAULT_CLUSTER_TOL,
     HeldMiddle,
     _cluster_runs,
     _divide_across,
     middle_matrix,
     resolve_clusters,
 )
-
-DEFAULT_SPLIT_TOL = 1e-8
 
 
 @dataclass
@@ -84,16 +83,16 @@ class PolarResult:
     p: DualMatrix
 
 
-def _front(m: DualMatrix, tol: float):
+def _front(m: DualMatrix):
     """(M/c, c, ||M/c||, U0, s, V0, B~, k, delta) for M/c = A + eps*B, A = U0 S
-    V0^T, whose k singular values above tol*||M/c|| are appreciable, the rest 0.
-    A real SVD P diag(delta) Q^T of the zero block of B~ = U0^T B V0 turns U0,
-    V0 and B~; delta (empty if k = n) is 0 below 1e-12*||M/c||."""
+    V0^T, whose k values above DEFAULT_SPLIT_TOL*||M/c|| are appreciable, the
+    rest 0.  A real SVD P diag(delta) Q^T of the zero block of B~ = U0^T B V0
+    turns U0, V0 and B~; delta (empty if k = n) is 0 below 1e-12*||M/c||."""
     require_square(m, "svd")
     ms, c, scale = unit_scale(m)
     u0, s, v0t = np.linalg.svd(ms.std)
     v0 = v0t.T
-    k = int(np.count_nonzero(s > tol * scale))
+    k = int(np.count_nonzero(s > DEFAULT_SPLIT_TOL * scale))
     s[k:] = 0.0
     bt = u0.T @ ms.inf @ v0
     delta = np.zeros(0)
@@ -108,17 +107,12 @@ def _front(m: DualMatrix, tol: float):
     return ms, c, scale, u0, s, v0, bt, k, delta
 
 
-def svd(
-    m: DualMatrix,
-    flavor: str,
-    tol: float = DEFAULT_SPLIT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SvdResult:
+def svd(m: DualMatrix, flavor: str) -> SvdResult:
     """T-SVD or *-SVD of an arbitrary square dual matrix."""
     flavor = Flavor(flavor)
-    _, c, scale, u0, s, v0, bt, k, delta = _front(m, tol)
+    _, c, scale, u0, s, v0, bt, k, delta = _front(m)
     # Each appreciable cluster's values become their mean: S = s I on it.
-    runs = _cluster_runs(s[:k], cluster_tol * scale)
+    runs = _cluster_runs(s[:k], DEFAULT_CLUSTER_TOL * scale)
     sp, size = resolve_clusters(s[:k], runs, bt, flavor, scale, u0, v0)
     sp[k:] = delta
 
@@ -160,7 +154,7 @@ def t_polar(m: DualMatrix) -> PolarResult:
     positive semidefinite: Y + W S = B~ for W = 2K/(s_i + s_j) skew and Y = H +
     K (s_i - s_j)/(s_i + s_j) symmetric, where Y solves P0 P1 + P1 P0 = (M^T M)_1
     (Higham, Functions of Matrices, 2008, ch. 8).  On the zero block Y = diag(delta)."""
-    _, c, scale, u0, s, v0, bt, k, delta = _front(m, DEFAULT_SPLIT_TOL)
+    _, c, scale, u0, s, v0, bt, k, delta = _front(m)
     den = s + s[:, None]
     den[k:, k:] = np.inf  # W = 0 on the zero block
     w = (bt - bt.T) / den  # 2K/D, exactly skew
@@ -190,13 +184,13 @@ def penrose_limits(m: DualMatrix, x: DualMatrix) -> dict:
     return {"mxm": t * m.norm(), "xmx": t * x.norm(), "mx_symmetric": t, "xm_symmetric": t}
 
 
-def pinv_t(m: DualMatrix, tol: float = DEFAULT_SPLIT_TOL):
-    """Moore-Penrose pseudoinverse, or None when a delta of the zero block is
-    above tol*||M||: X = V0 (S^+ + eps*X~) U0^T, X~ = [[-B~11_ij/(s_i s_j), S^-2
-    B~21^T], [B~12^T S^-2, 0]] (Golub & Pereyra, SIAM J. Numer. Anal. 1973).
-    All of it, the Penrose self-check at ``penrose_limits(M, X)`` too, runs on M/c."""
-    m, c, scale, u0, s, v0, bt, k, delta = _front(m, tol)
-    if (delta > tol * scale).any():
+def pinv_t(m: DualMatrix):
+    """Moore-Penrose pseudoinverse, or None if a delta of the zero block exceeds
+    DEFAULT_SPLIT_TOL*||M||: X = V0 (S^+ + eps*X~) U0^T for X~ = [[-B~11_ij /
+    (s_i s_j), S^-2 B~21^T], [B~12^T S^-2, 0]] (Golub & Pereyra, SIAM J. Numer.
+    Anal. 1973).  It all runs on M/c, the ``penrose_limits(M, X)`` check too."""
+    m, c, scale, u0, s, v0, bt, k, delta = _front(m)
+    if (delta > DEFAULT_SPLIT_TOL * scale).any():
         return None
     x_std = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)  # s[k:] = 0
     sk = s[:k]

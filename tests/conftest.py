@@ -8,8 +8,8 @@ import pytest
 
 from dualsvd import DualMatrix, FLAVOR_T
 from dualsvd.linalg import unit_scale
-from dualsvd.spectral import DEFAULT_CLUSTER_TOL, middle_matrix
-from dualsvd.svd import svd
+from dualsvd.spectral import middle_matrix
+from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
 
 
 def random_dual_matrix(rng, n, regime="generic"):
@@ -126,17 +126,17 @@ def skew_block_matrix(sb) -> np.ndarray:
     return s
 
 
-def pinv_diag_reference(m, tol=1e-8):
-    """``pinv_t(m, tol)`` without its Penrose self-check, built as the
+def pinv_diag_reference(m):
+    """``pinv_t(m)`` without its Penrose self-check, built as the
     product V Sigma^+ U^T of the T-SVD's factors, with Sigma^+ the diagonal
     matrix 1/sigma - eps*sigma'/sigma^2: the route that ``pinv_t``'s closed
     form replaced, kept as its reference.  ``m`` is scaled to unit norm
     before the SVD, so the SVD's own scaling leaves it as it is."""
     ms, c, scale = unit_scale(m)
-    r = svd(ms, FLAVOR_T, tol, DEFAULT_CLUSTER_TOL)
+    r = svd(ms, FLAVOR_T)
     k = np.count_nonzero(r.middle[0])
     a, b = r.middle[:2]
-    if (np.abs(b[k:]) > tol * scale).any():
+    if (np.abs(b[k:]) > DEFAULT_SPLIT_TOL * scale).any():
         return None
     x_std, x_inf = np.zeros_like(a), np.zeros_like(a)
     x_std[:k] = 1.0 / a[:k]

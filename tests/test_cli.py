@@ -21,7 +21,7 @@ from dualsvd.fileformat import (
     parse_matrix,
 )
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
-from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
+from dualsvd.svd import DEFAULT_SPLIT_TOL, pinv_t, svd
 from conftest import (
     random_degenerate_hermitian,
     random_degenerate_symmetric,
@@ -244,6 +244,23 @@ class TestDecompose:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
+    def test_tolerance_arguments_are_errors(self):
+        # The split, cluster and symmetry limits are constants: a tolerance
+        # passed in is refused, not applied or silently ignored.
+        m = DualMatrix(np.diag([2.0, 1.0]))
+        calls = [
+            lambda: svd(m, "T", tol=1e-8),
+            lambda: svd(m, "T", 1e-8, 1e-8),
+            lambda: t_spectral(m, 1e-8),
+            lambda: star_spectral(m, cluster_tol=1e-8),
+            lambda: pinv_t(m, 1e-8),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        with pytest.raises(ValueError, match="tol"):
+            build_result(m, "t-svd", 1e-9, 1e-8)
+
     def test_library_error_exits_4(self, tmp_path, capsys):
         # A nearly singular A: pinv_t's Penrose self-check finds MX about
         # 75 times further from symmetric than its limit.
@@ -351,6 +368,19 @@ class TestCheck:
         main(["decompose", "--kind", "t-svd", "--input", inp, "--output", out])
         other = write_matrix(tmp_path / "m2.json", random_dual_matrix(rng, 2, "generic"))
         assert main(["check", "--input", other, "--result", out]) == 2
+
+    def test_non_integer_dimensions_are_parse_errors(self, tmp_path):
+        # 2.0 == 2 and true == 1: compared by value, both documents passed.
+        for kind, m, dim in [
+            ("t-svd", DualMatrix(np.diag([2.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]]), 2.0),
+            ("pinv", DualMatrix([[2.0]], [[1.0]]), True),
+        ]:
+            inp = write_matrix(tmp_path / "m.json", m)
+            out = tmp_path / "r.json"
+            assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 0
+            assert main(["check", "--input", inp, "--result", str(out)]) == 0
+            out.write_text(dumps(dict(loads(out.read_text()), rows=dim, cols=dim)))
+            assert main(["check", "--input", inp, "--result", str(out)]) == 2
 
     def test_malformed_result_is_parse_error(self, tmp_path, rng):
         inp = write_matrix(tmp_path / "m.json", random_dual_matrix(rng, 3, "generic"))

@@ -19,7 +19,7 @@ from dualsvd import (
     sym_eig,
     t_spectral,
 )
-from dualsvd.spectral import _cluster_runs
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL, _cluster_runs
 from conftest import (
     block_matrix,
     block_matrix_loop,
@@ -170,9 +170,9 @@ def test_empty_matrix(decomp):
 @pytest.mark.parametrize("spread", [0.9e-8, 1.1e-8])
 @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
 def test_near_boundary_cluster_reconstructs(flavor, spread):
-    # A pair `spread` apart (one cluster at or below cluster_tol*||M||, two
-    # above it; ||M|| = 1 + spread here) next to a gap of 0.1, coupled to the
-    # far value by B.
+    # A pair `spread` apart (one cluster at or below
+    # DEFAULT_CLUSTER_TOL*||M||, two above it; ||M|| = 1 + spread here) next
+    # to a gap of 0.1, coupled to the far value by B.
     b = np.zeros((3, 3))
     b[0, 2] = b[1, 2] = 1.0
     b = b + b.T if flavor == FLAVOR_T else b - b.T
@@ -189,8 +189,8 @@ def test_near_boundary_cluster_reconstructs(flavor, spread):
 @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
 def test_inf_dominated_pair_is_one_cluster(rng, flavor):
     # Eigenvalues 1e-3*(1.5, 1.2, 1 + 1e-5, 1, 0.8) under a B with ||B|| = 1.9:
-    # the pair's gap, 1e-8, is below cluster_tol*||M||, so the pair is one
-    # cluster and Omega stays bounded, however small the values are.
+    # the pair's gap, 1e-8, is below DEFAULT_CLUSTER_TOL*||M||, so the pair
+    # is one cluster and Omega stays bounded, however small the values are.
     d = 1e-3 * np.array([1.5, 1.2, 1.0 + 1e-5, 1.0, 0.8])
     for _ in range(10):
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
@@ -241,8 +241,9 @@ class TestEigenvalueMultiset:
 def every_cluster_kind(rng, n, flavor, exact):
     """Eigenvalues with a 2-value and a 3-value cluster, singletons and a
     zero cluster of two.  ``exact``: Q is a signed permutation, whose
-    repeated eigenvalues LAPACK returns exactly, so that cluster_tol = 0
-    still forms the clusters; otherwise Q is a random orthogonal matrix."""
+    repeated eigenvalues LAPACK returns exactly, so that each cluster is a
+    run of exact ties; otherwise Q is a random orthogonal matrix, whose
+    rounding spreads them."""
     d = np.concatenate([[4.0], [3.0] * 2, [2.0] * 3, np.linspace(1.5, 0.5, n - 8), [0.0] * 2])
     if exact:
         q = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
@@ -254,19 +255,20 @@ def every_cluster_kind(rng, n, flavor, exact):
 
 @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
 @pytest.mark.parametrize("n", [8, 10, 12])
-@pytest.mark.parametrize("exact, cluster_tol", [(True, 0.0), (True, 1e-8), (False, 1e-8)])
-def test_every_corrector_write(rng, flavor, n, exact, cluster_tol):
+# Each id names the cluster limit that the case runs at.
+@pytest.mark.parametrize("exact", [True, False], ids=lambda e: f"{e}-{DEFAULT_CLUSTER_TOL}")
+def test_every_corrector_write(rng, flavor, n, exact):
     # One input reaches every write of the corrector: the division across
     # clusters and the blocks of a 2-, a 3-value and a zero cluster.
     m = every_cluster_kind(rng, n, flavor, exact)
     if flavor == FLAVOR_T:
-        dec = t_spectral(m, cluster_tol=cluster_tol)
+        dec = t_spectral(m)
         check_t(m, dec)
         sigmas = [b.sigma for b in dec.blocks]
         assert sigmas[1] == sigmas[2] and sigmas[3] == sigmas[4] == sigmas[5]
         assert sigmas[-2] == sigmas[-1]
     else:
-        dec = star_spectral(m, cluster_tol=cluster_tol)
+        dec = star_spectral(m)
         check_star(m, dec)
         # A generic B~ gives each cluster one rotation block.
         sizes = [b.size for b in dec.blocks]

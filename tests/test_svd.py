@@ -25,6 +25,7 @@ from dualsvd import (
     t_polar,
     t_spectral,
 )
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL
 from conftest import (
     block_matrix,
     block_matrix_loop,
@@ -280,8 +281,8 @@ class TestClusterStress:
         r = svd(m, flavor)
         check_verifier_limits(m, r)
         if flavor == FLAVOR_STAR:
-            # cluster_tol*||M|| lies between 1e-9 and 1e-6 here, so only the
-            # smaller gaps form a cluster, with floor(size/2) rotations.
+            # DEFAULT_CLUSTER_TOL*||M|| lies between 1e-9 and 1e-6 here, so
+            # only the smaller gaps form a cluster, with floor(size/2) rotations.
             want = size // 2 if gap <= 1e-9 else 0
             assert sum(b.size == 2 for b in r.blocks) == want
 
@@ -297,9 +298,10 @@ class TestClusterStress:
         ids=["pair_at_1e-3", "1_2s_s_at_1e-4", "1_2s_s_at_1e-5", "1_2s_s_at_1e-6"],
     )
     def test_small_distinct_values_stay_apart(self, rng, flavor, s):
-        # Values whose gap is small next to s_1 but above cluster_tol*||M||
-        # are two clusters: merging them would average away the gap, and the
-        # standard part would miss A by about the gap.
+        # Values whose gap is small next to s_1 but above
+        # DEFAULT_CLUSTER_TOL*||M|| are two clusters: merging them would
+        # average away the gap, and the standard part would miss A by about
+        # the gap.
         for _ in range(10):
             m = planted(rng, np.array(s), len(s))
             check_verifier_limits(m, svd(m, flavor))
@@ -308,8 +310,8 @@ class TestClusterStress:
 def every_cluster_kind(rng, n, exact):
     """Singular values with a 2-value and a 3-value cluster, singletons and
     a zero tail of two.  ``exact``: A is a shuffled diagonal, whose repeated
-    singular values LAPACK returns exactly, so that cluster_tol = 0 still
-    forms the clusters; otherwise A = Q1 diag(s) Q2^T."""
+    singular values LAPACK returns exactly, so that each cluster is a run of
+    exact ties; otherwise A = Q1 diag(s) Q2^T, whose rounding spreads them."""
     s = np.concatenate([[4.0], [3.0] * 2, [2.0] * 3, np.linspace(1.5, 0.5, n - 8), [0.0] * 2])
     if not exact:
         return planted(rng, s, n)
@@ -323,10 +325,11 @@ class TestEveryCorrectorWrite:
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("n", [8, 10, 12])
-    @pytest.mark.parametrize("exact, cluster_tol", [(True, 0.0), (True, 1e-8), (False, 1e-8)])
-    def test_planted_clusters_and_tail(self, rng, flavor, n, exact, cluster_tol):
+    # Each id names the cluster limit that the case runs at.
+    @pytest.mark.parametrize("exact", [True, False], ids=lambda e: f"{e}-{DEFAULT_CLUSTER_TOL}")
+    def test_planted_clusters_and_tail(self, rng, flavor, n, exact):
         m = every_cluster_kind(rng, n, exact)
-        r = svd(m, flavor, cluster_tol=cluster_tol)
+        r = svd(m, flavor)
         check_svd(m, r)
         sigmas = [b.sigma for b in r.blocks]
         assert sigmas[-2:] == [0.0, 0.0]

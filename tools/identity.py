@@ -75,7 +75,7 @@ def child(src: str, out: str, seeds: list) -> int:
     from dualsvd.spectral import DEFAULT_CLUSTER_TOL
     from dualsvd.svd import DEFAULT_SPLIT_TOL
 
-    tols = DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL  # decompose's defaults
+    tols = DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL  # the only values build_result takes
     results = {}
     for seed in seeds:
         for w in WORKLOADS:
