@@ -14,7 +14,6 @@ from .errors import (
     NonFiniteInput,
     NotHermitian,
     NotInvertible,
-    NotSkewSymmetric,
     NotSquare,
     NotSymmetric,
     OutOfRange,
@@ -41,7 +40,6 @@ from .linalg import (
     structure_residual,
     t_form,
 )
-from .realspec import RealSpectral, SkewBlockForm, skew_block_diag, sym_eig
 from .spectral import (
     SpectralBlock,
     SpectralDecomposition,
@@ -69,7 +67,6 @@ __all__ = [
     "DualMatrix", "adjoint", "form", "t_form", "star_form",
     "structure_residual", "gram_schmidt",
     "extend_orthonormal", "Flavor", "FLAVOR_T", "FLAVOR_STAR",
-    "RealSpectral", "SkewBlockForm", "sym_eig", "skew_block_diag",
     "SpectralBlock", "SpectralDecomposition", "star_spectral", "t_spectral",
     "eigenvalue_multiset",
     "SvdResult", "SubspaceSplit", "PolarResult",
@@ -78,6 +75,6 @@ __all__ = [
     "LaguerreTransform", "LaguerreClassification", "apply_transform",
     "classify_transform",
     "DualLinAlgError", "PreconditionViolation", "DimensionMismatch", "NotSquare", "NotSymmetric",
-    "NotSkewSymmetric", "NotHermitian", "NotInvertible", "NoSquareRoot",
+    "NotHermitian", "NotInvertible", "NoSquareRoot",
     "DegenerateInput", "NonFiniteInput", "OutOfRange", "PoleAt", "VerificationError",
 ]

@@ -18,11 +18,7 @@ class NotSquare(PreconditionViolation):
 
 
 class NotSymmetric(PreconditionViolation):
-    """Input is not symmetric within the requested tolerance."""
-
-
-class NotSkewSymmetric(DualLinAlgError):
-    """Input is not skew-symmetric within the requested tolerance."""
+    """Input is not symmetric within ORTHONORMAL_TOL times its norm."""
 
 
 class NotHermitian(PreconditionViolation):

@@ -52,6 +52,10 @@ ORTHONORMAL_TOL = 1e-8
 DEFAULT_SPLIT_TOL = 1e-8
 # Relative gap at or below which neighbouring values form one cluster.
 DEFAULT_CLUSTER_TOL = 1e-8
+# Relative rotation parameter at or below which a star cluster has no 2x2 block.
+ROTATION_TOL = 1e-9
+# Relative size at or below which a delta of the SVD's zero block is 0.
+ZERO_BLOCK_TOL = 1e-12
 
 
 def require_square(m, what: str):

@@ -29,6 +29,7 @@ from .linalg import (
     FLAVOR_STAR,
     FLAVOR_T,
     ORTHONORMAL_TOL,
+    ROTATION_TOL,
     DualMatrix,
     Flavor,
     require_square,
@@ -144,17 +145,14 @@ def resolve_clusters(vals, runs, bt, flavor: Flavor, scale: float, *isos):
         vals[idx] = vals[idx].sum() / (j - i)
         b = 0.5 * (bt[idx, idx] + flavor.sign * bt[idx, idx].T)
         if star:
-            # Rotation parameters below 1e-9 of the matrix scale collapse to
-            # scalar blocks, not near-boundary 2x2 blocks: skew_block_diag's
-            # cutoff is tol*max|b| (the bound keeps a zero block's tol finite).
-            mu_floor = 1e-9 * scale / max(float(np.abs(b).max()), 1e-300)
-            sb = skew_block_diag(b, tol=mu_floor, check=False)
-            q, p = sb.q, len(sb.mus)
-            sp[i : i + 2 * p : 2] = sb.mus
+            # Rotation parameters at or below ROTATION_TOL*||M|| collapse to
+            # scalar blocks, not near-boundary 2x2 blocks.
+            q, mus = skew_block_diag(b, ROTATION_TOL * scale)
+            p = len(mus)
+            sp[i : i + 2 * p : 2] = mus
             size[i : i + 2 * p] = [2, 0] * p
         else:
-            es = sym_eig(b, check=False)
-            q, sp[idx] = es.q, es.eigenvalues
+            q, sp[idx] = sym_eig(b)
         for iso in isos:
             iso[:, idx] = iso[:, idx] @ q
         bt[idx, :] = q.T @ bt[idx, :]
@@ -168,8 +166,7 @@ def _decompose(m: DualMatrix, flavor: Flavor, error):
     if structure_residual(m, flavor.self_adjoint) > ORTHONORMAL_TOL * scale:
         raise error(f"matrix is not {flavor.self_adjoint} within tolerance")
 
-    spec = sym_eig(0.5 * (m.std + m.std.T), check=False)
-    q0, d = spec.q, spec.eigenvalues
+    q0, d = sym_eig(0.5 * (m.std + m.std.T))
     # B~ is symmetric (T) or skew (star), so that Omega below is exactly
     # skew or symmetric.
     bt = q0.T @ m.inf @ q0

@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_SPLIT_TOL,
     ORTHONORMAL_TOL,
+    ZERO_BLOCK_TOL,
     DualMatrix,
     Flavor,
     adjoint,
@@ -87,7 +88,7 @@ def _front(m: DualMatrix):
     """(M/c, c, ||M/c||, U0, s, V0, B~, k, delta) for M/c = A + eps*B, A = U0 S
     V0^T, whose k values above DEFAULT_SPLIT_TOL*||M/c|| are appreciable, the
     rest 0.  A real SVD P diag(delta) Q^T of the zero block of B~ = U0^T B V0
-    turns U0, V0 and B~; delta (empty if k = n) is 0 below 1e-12*||M/c||."""
+    turns U0, V0 and B~; delta (empty if k = n) is 0 up to ZERO_BLOCK_TOL*||M/c||."""
     require_square(m, "svd")
     ms, c, scale = unit_scale(m)
     u0, s, v0t = np.linalg.svd(ms.std)
@@ -103,7 +104,7 @@ def _front(m: DualMatrix):
         v0[:, tail] = v0[:, tail] @ qt.T
         bt[tail, :] = p.T @ bt[tail, :]
         bt[:, tail] = bt[:, tail] @ qt.T
-        delta[delta <= 1e-12 * scale] = 0.0
+        delta[delta <= ZERO_BLOCK_TOL * scale] = 0.0
     return ms, c, scale, u0, s, v0, bt, k, delta
 
 

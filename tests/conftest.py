@@ -11,6 +11,10 @@ from dualsvd.linalg import unit_scale
 from dualsvd.spectral import middle_matrix
 from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
 
+# Gram-Schmidt and the spectral symmetry precondition judge a matrix against
+# its own norm, so a tiny input is read as the same input at unit scale.
+BACKEND_SCALES = [1.0, 1e-6, 1e-12]
+
 
 def random_dual_matrix(rng, n, regime="generic"):
     """Draw a square dual matrix from one of the four sampling regimes."""
@@ -115,12 +119,12 @@ def block_matrix(blocks) -> DualMatrix:
     return middle_matrix(*per.T)
 
 
-def skew_block_matrix(sb) -> np.ndarray:
-    """The block-diagonal S of a ``SkewBlockForm``, A = q S q^T: 2x2 blocks
-    [[0, -mu], [mu, 0]], then ``zero_count`` zeros."""
-    n = 2 * len(sb.mus) + sb.zero_count
+def skew_block_matrix(q, mus) -> np.ndarray:
+    """The block-diagonal S of ``skew_block_diag``'s (q, mus), A = q S q^T:
+    2x2 blocks [[0, -mu], [mu, 0]], then zeros."""
+    n = len(q)
     s = np.zeros((n, n))
-    for i, mu in enumerate(sb.mus):
+    for i, mu in enumerate(mus):
         s[2 * i, 2 * i + 1] = -mu
         s[2 * i + 1, 2 * i] = mu
     return s

@@ -27,18 +27,16 @@ from dualsvd import (
     gram_schmidt,
     penrose_residuals,
     pinv_t,
-    skew_block_diag,
     split_subspaces,
     star_spectral,
     structure_residual,
     svd,
     svd_invertible,
-    sym_eig,
     t_polar,
     t_spectral,
 )
 from dualsvd.fileformat import parse_matrix
-from conftest import random_dual_matrix, random_hermitian, random_symmetric
+from conftest import BACKEND_SCALES, random_dual_matrix, random_hermitian, random_symmetric
 
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
 
@@ -242,21 +240,12 @@ def test_zero_matrix(n):
         classify_transform(LaguerreTransform(DualMatrix(np.zeros((2, 2)))))
 
 
-# The real backends and Gram-Schmidt judge a matrix against its own norm, so
-# a tiny input is read as the same input at unit scale.
-BACKEND_SCALES = [1.0, 1e-6, 1e-12]
-
-
-@pytest.mark.parametrize("c", BACKEND_SCALES)
-def test_skew_block_diag_keeps_a_small_rotation(c):
-    sb = skew_block_diag(c * np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert sb.zero_count == 0 and sb.mus == pytest.approx([c], rel=1e-14)
-
-
 @pytest.mark.parametrize("c", BACKEND_SCALES)
 def test_sym_eig_rejects_a_small_asymmetric_matrix(c):
+    # sym_eig takes its input as symmetric; t_spectral checks A before it
+    # reaches sym_eig, against ||M||, so a tiny asymmetric A is still caught.
     with pytest.raises(NotSymmetric):
-        sym_eig(c * np.array([[1.0, 0.5], [0.0, 1.0]]))
+        t_spectral(DualMatrix(c * np.array([[1.0, 0.5], [0.0, 1.0]])))
 
 
 @pytest.mark.parametrize("c", BACKEND_SCALES)
@@ -264,3 +253,20 @@ def test_sym_eig_rejects_a_small_asymmetric_matrix(c):
 def test_gram_schmidt_accepts_a_small_basis(c, flavor):
     q = gram_schmidt(DualMatrix(c * np.eye(2)), flavor)
     assert (q - DualMatrix(np.eye(2))).norm() < 1e-15
+
+
+@pytest.mark.parametrize("k", [-30, 0, 30])
+@pytest.mark.parametrize("mu, rotates", [(2e-9, True), (5e-10, False)])
+def test_star_rotation_cutoff_is_relative_to_the_norm(k, mu, rotates):
+    # M = 2^k (I + eps*mu*J) has ||M|| = 2^k.  A rotation parameter above
+    # 1e-9*||M|| is one 2x2 block with sigma' = 2^k*mu; one below it leaves
+    # two scalar blocks, at every k.
+    c = 2.0**k
+    m = DualMatrix(c * np.eye(2), c * mu * np.array([[0.0, -1.0], [1.0, 0.0]]))
+    for r in (star_spectral(m), svd(m, FLAVOR_STAR)):
+        if rotates:
+            (b,) = r.blocks
+            assert (b.sigma, b.size) == (c, 2)
+            assert b.sigma_prime == pytest.approx(c * mu, rel=1e-12)
+        else:
+            assert [(b.sigma, b.sigma_prime, b.size) for b in r.blocks] == [(c, 0.0, 1)] * 2
