@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import fileformat
-from .errors import DualLinAlgError, NotSquare, OutOfRange, PreconditionViolation
+from .errors import DualLinAlgError, OutOfRange, PreconditionViolation
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
 from .linalg import (
@@ -24,7 +24,6 @@ from .linalg import (
     ORTHONORMAL_TOL,
     DualMatrix,
     adjoint,
-    require_square,
     structure_residual,
 )
 from .spectral import middle_matrix, star_spectral, t_spectral
@@ -55,7 +54,7 @@ def _summary(r) -> dict:
     if r.flavor is FLAVOR_STAR:
         # Block fields are Python numbers, so a block's fields are its JSON entry.
         return {"blocks": [vars(b) for b in r.blocks]}
-    return {"diag": [[d.std, d.inf] for d in r.diag]}
+    return {"diag": [list(d) for d in zip(r.middle[0].tolist(), r.middle[1].tolist())]}
 
 
 def _middle_of(doc: dict, flavor, n: int) -> tuple:
@@ -126,7 +125,6 @@ def _invariants(m: DualMatrix, doc: dict, f: dict):
 def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:
     if (tol, cluster_tol) != (DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL):
         raise ValueError("tol and cluster_tol must be the library's constant tolerances")
-    require_square(m, "decompose")
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     flavor = KIND_FACTORS[kind][0]
@@ -169,8 +167,6 @@ def cmd_decompose(args) -> int:
 
 def cmd_classify(args) -> int:
     m = fileformat.parse_matrix(_read(args.input))
-    if m.shape != (2, 2):
-        raise NotSquare(f"classify needs a 2x2 matrix, got {m.shape}")
     c = classify_transform(LaguerreTransform(m))
     residual = (c.reconstruct() - m).norm()
     if c.form == 1:

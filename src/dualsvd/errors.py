@@ -42,7 +42,8 @@ class PoleAt(DualLinAlgError):
 
 
 class VerificationError(DualLinAlgError):
-    """An internal self-check (e.g. Penrose identities) failed unexpectedly."""
+    """A result failed its own self-check: ``pinv_t``'s Penrose identities.
+    Well-posed but ill-conditioned inputs raise it too (ROADMAP.md item 22)."""
 
 
 class NonFiniteInput(PreconditionViolation):

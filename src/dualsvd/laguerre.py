@@ -10,7 +10,7 @@ import numpy as np
 
 from .dual import Dual
 from .errors import DimensionMismatch, PoleAt
-from .linalg import FLAVOR_STAR, DualMatrix
+from .linalg import FLAVOR_STAR, DualMatrix, adjoint
 from .spectral import middle_matrix
 from .svd import svd_invertible
 
@@ -37,7 +37,8 @@ class LaguerreClassification:
 
     def reconstruct(self) -> DualMatrix:
         if self.form == 1:
-            return self.u @ middle_matrix(self.sigma, np.zeros(2), np.ones(2)) @ self.v.star()
+            sigma = middle_matrix(self.sigma, np.zeros(2), np.ones(2))
+            return self.u @ sigma @ adjoint(self.v, FLAVOR_STAR)
         s, sp = self.sigma, self.sigma_prime
         return self.u @ middle_matrix([s, s], np.array([sp, 0.0]), np.array([2, 0]))
 
@@ -65,4 +66,4 @@ def classify_transform(t: LaguerreTransform) -> LaguerreClassification:
     if blk.size == 1:
         return LaguerreClassification(1, r.u, tuple(r.middle[0].tolist()), v=r.v)
     sp = blk.sigma_prime * float(np.sign(np.linalg.det(r.v.std)))
-    return LaguerreClassification(2, r.u @ r.v.star(), blk.sigma, sigma_prime=sp)
+    return LaguerreClassification(2, r.u @ adjoint(r.v, FLAVOR_STAR), blk.sigma, sigma_prime=sp)

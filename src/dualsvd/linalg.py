@@ -122,13 +122,6 @@ class DualMatrix:
     def T(self) -> "DualMatrix":
         return DualMatrix._of(self.std.T, self.inf.T)
 
-    def conj(self) -> "DualMatrix":
-        return DualMatrix._of(self.std, -self.inf)
-
-    def star(self) -> "DualMatrix":
-        """M* = conj(M)^T."""
-        return DualMatrix._of(self.std.T, -self.inf.T)
-
     # -- norms -------------------------------------------------------------
 
     def norm(self) -> float:
@@ -184,13 +177,13 @@ def adjoint(m: DualMatrix, flavor: str) -> DualMatrix:
 def t_form(u: DualMatrix, v: DualMatrix) -> DualMatrix:
     """The symmetric bilinear form (u, v) = u^T v between the columns of u
     and of v: the k x l matrix of pairwise values, the Gram matrix if u = v."""
-    return u.T @ v
+    return form(u, v, Flavor.T)
 
 
 def star_form(u: DualMatrix, v: DualMatrix) -> DualMatrix:
     """The sesquilinear form <u, v> = u^T conj(v) between the columns of u
     and of v, as ``t_form``."""
-    return u.T @ v.conj()
+    return form(u, v, Flavor.STAR)
 
 
 def form(u: DualMatrix, v: DualMatrix, flavor: str) -> DualMatrix:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual
 from .errors import NotHermitian, NotSymmetric
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
@@ -75,13 +74,6 @@ class HeldMiddle:
     def blocks(self) -> list:
         rows = zip(*(a.tolist() for a in self.middle))
         return [SpectralBlock(*row) for row in rows if row[2]]
-
-    @property
-    def diag(self) -> list | None:
-        """A T middle factor's diagonal as Dual entries; None for star."""
-        if self.flavor is FLAVOR_STAR:
-            return None
-        return [Dual(*d) for d in zip(self.middle[0].tolist(), self.middle[1].tolist())]
 
 
 @dataclass

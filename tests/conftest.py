@@ -8,7 +8,6 @@ import pytest
 
 from dualsvd import DualMatrix, FLAVOR_T
 from dualsvd.linalg import unit_scale
-from dualsvd.spectral import middle_matrix
 from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
 
 # Gram-Schmidt and the spectral symmetry precondition judge a matrix against
@@ -45,36 +44,23 @@ def random_dual_matrix(rng, n, regime="generic"):
     raise ValueError(regime)
 
 
-def random_symmetric(rng, n):
+def random_self_adjoint(rng, n, flavor):
+    """A symmetric (T) or Hermitian (star) dual matrix."""
     std = rng.standard_normal((n, n))
     inf = rng.standard_normal((n, n))
-    return DualMatrix(std + std.T, inf + inf.T)
+    return DualMatrix(std + std.T, inf + flavor.sign * inf.T)
 
 
-def random_hermitian(rng, n):
-    std = rng.standard_normal((n, n))
-    inf = rng.standard_normal((n, n))
-    return DualMatrix(std + std.T, inf - inf.T)
-
-
-def random_degenerate_hermitian(rng, n):
-    """Hermitian matrix whose standard part has a repeated eigenvalue, so the
-    star decomposition must produce a genuine 2x2 rotation block."""
+def random_degenerate_self_adjoint(rng, n, flavor):
+    """A symmetric (T) or Hermitian (star) dual matrix whose standard part
+    has a repeated eigenvalue, so that the star decomposition must produce
+    a genuine 2x2 rotation block."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = np.sort(rng.standard_normal(n))[::-1]
     if n >= 2:
         lam[1] = lam[0]
     inf = rng.standard_normal((n, n))
-    return DualMatrix(q @ np.diag(lam) @ q.T, inf - inf.T)
-
-
-def random_degenerate_symmetric(rng, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.sort(rng.standard_normal(n))[::-1]
-    if n >= 2:
-        lam[1] = lam[0]
-    inf = rng.standard_normal((n, n))
-    return DualMatrix(q @ np.diag(lam) @ q.T, inf + inf.T)
+    return DualMatrix(q @ np.diag(lam) @ q.T, inf + flavor.sign * inf.T)
 
 
 def random_isometry(rng, n, flavor):
@@ -95,7 +81,8 @@ def random_vectors(rng, n, k):
 
 def block_matrix_loop(blocks) -> DualMatrix:
     """The middle factor of a block list, entry by entry: the reference
-    that the library's array assembly is compared against."""
+    that ``sigma``, ``sigma_matrix()`` and
+    ``LaguerreClassification.reconstruct`` are compared against."""
     n = sum(b.size for b in blocks)
     out = DualMatrix(np.zeros((n, n)))
     p = 0
@@ -110,13 +97,10 @@ def block_matrix_loop(blocks) -> DualMatrix:
     return out
 
 
-def block_matrix(blocks) -> DualMatrix:
-    """The middle factor of a block list, through its per-index arrays: the
-    reference that ``sigma``, ``sigma_matrix()`` and
-    ``LaguerreClassification.reconstruct`` are compared against."""
-    rows = [((b.sigma, b.sigma_prime, b.size), (b.sigma, 0.0, 0))[: b.size] for b in blocks]
-    per = np.array([r for pair in rows for r in pair], dtype=float).reshape(-1, 3)
-    return middle_matrix(*per.T)
+def middle_pairs(r) -> list:
+    """The (sigma, sigma') of each index of a result's middle factor, read
+    from ``middle``: for T, the diagonal of Sigma."""
+    return list(zip(r.middle[0].tolist(), r.middle[1].tolist()))
 
 
 def skew_block_matrix(q, mus) -> np.ndarray:

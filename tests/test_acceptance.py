@@ -31,12 +31,10 @@ from dualsvd.cli import main
 from dualsvd.fileformat import dumps, matrix_to_obj
 from dualsvd.realspec import sym_eig
 from conftest import (
-    random_degenerate_hermitian,
-    random_degenerate_symmetric,
+    random_degenerate_self_adjoint,
     random_dual_matrix,
-    random_hermitian,
     random_isometry,
-    random_symmetric,
+    random_self_adjoint,
     random_vectors,
 )
 
@@ -103,15 +101,15 @@ def test_criterion_2_spectral_reconstruction(capsys):
     for k in range(500):
         n = 1 + k % 8
         m = (
-            random_degenerate_hermitian(rng, n)
+            random_degenerate_self_adjoint(rng, n, FLAVOR_STAR)
             if k % 3 == 0 and n >= 2
-            else random_hermitian(rng, n)
+            else random_self_adjoint(rng, n, FLAVOR_STAR)
         )
         dec = star_spectral(m)
         sigma = dec.sigma_matrix()
         worst = max(
             worst,
-            scaled((dec.v @ sigma @ dec.v.star() - m).norm(), m.norm()),
+            scaled((dec.v @ sigma @ adjoint(dec.v, FLAVOR_STAR) - m).norm(), m.norm()),
             structure_residual(dec.v, "unitary"),
         )
         for b in dec.blocks:
@@ -122,9 +120,9 @@ def test_criterion_2_spectral_reconstruction(capsys):
     for k in range(500):
         n = 1 + k % 8
         m = (
-            random_degenerate_symmetric(rng, n)
+            random_degenerate_self_adjoint(rng, n, FLAVOR_T)
             if k % 3 == 0 and n >= 2
-            else random_symmetric(rng, n)
+            else random_self_adjoint(rng, n, FLAVOR_T)
         )
         dec = t_spectral(m)
         sigma = dec.sigma_matrix()
@@ -151,12 +149,8 @@ def test_criterion_3_eigenvalue_multiset_uniqueness(capsys):
     for k in range(200):
         n = 1 + k % 8
         flavor = FLAVORS[k % 2]
-        if flavor == FLAVOR_T:
-            m = random_symmetric(rng, n)
-            decomp = t_spectral
-        else:
-            m = random_hermitian(rng, n)
-            decomp = star_spectral
+        m = random_self_adjoint(rng, n, flavor)
+        decomp = t_spectral if flavor == FLAVOR_T else star_spectral
         q = random_isometry(rng, n, flavor)
         conj = q @ m @ adjoint(q, flavor)
         a = eigenvalue_multiset(decomp(m))
@@ -180,13 +174,13 @@ def test_criterion_4_classical_limit(capsys):
         n = 1 + k % 8
         a = rng.standard_normal((n, n))
         r = svd(DualMatrix(a), FLAVOR_T)
-        got = np.sort([d.std for d in r.diag])[::-1]
+        got = np.sort(r.middle[0])[::-1]
         want = np.linalg.svd(a, compute_uv=False)
         worst = max(worst, float(np.abs(got - want).max()))
 
         s = a + a.T
         dec = t_spectral(DualMatrix(s))
-        got = np.sort([d.std for d in dec.diag])[::-1]
+        got = np.sort(dec.middle[0])[::-1]
         want = sym_eig(s)[1]
         worst = max(worst, float(np.abs(got - want).max()))
     report(
@@ -332,9 +326,9 @@ def _golden_corpus(rng):
     sym = []
     herm = []
     for n in (2, 3, 4):
-        m = random_symmetric(rng, n)
+        m = random_self_adjoint(rng, n, FLAVOR_T)
         sym.append(m)
-        m = random_hermitian(rng, n)
+        m = random_self_adjoint(rng, n, FLAVOR_STAR)
         herm.append(m)
     cases += [("t-spectral", m) for m in sym]
     cases += [("star-spectral", m) for m in herm]

@@ -22,12 +22,7 @@ from dualsvd.fileformat import (
 )
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
 from dualsvd.svd import DEFAULT_SPLIT_TOL, pinv_t, svd
-from conftest import (
-    random_degenerate_hermitian,
-    random_degenerate_symmetric,
-    random_dual_matrix,
-    random_symmetric,
-)
+from conftest import random_degenerate_self_adjoint, random_dual_matrix, random_self_adjoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -298,9 +293,10 @@ class TestClassify:
         inp = write_matrix(tmp_path / "m.json", m)
         assert main(["classify", "--input", inp]) == 3
 
-    def test_not_2x2_exit_3(self, tmp_path, rng):
+    def test_not_2x2_exit_3(self, tmp_path, rng, capsys):
         inp = write_matrix(tmp_path / "m.json", random_dual_matrix(rng, 3, "generic"))
         assert main(["classify", "--input", inp]) == 3
+        assert "DimensionMismatch" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         # `python -m dualsvd.cli` goes through entry(), which must turn
@@ -502,6 +498,29 @@ class TestCheck:
         assert main(["decompose", "--kind", "star-svd", "--input", inp, "--output", out]) == 0
         assert main(["check", "--input", inp, "--result", out]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, kind, error",
+        [
+            ("symmetric_4x4.json", "t-spectral", None),
+            ("symmetric_4x4.json", "star-spectral", "NotHermitian"),
+            ("hermitian_4x4.json", "star-spectral", None),
+            ("hermitian_4x4.json", "t-spectral", "NotSymmetric"),
+        ],
+    )
+    def test_spectral_data_files(self, tmp_path, capsys, name, kind, error):
+        # Each spectral kind decomposes and checks the file that meets its
+        # symmetry precondition, and exits 3 on the other one.
+        inp = str(DATA / name)
+        out = tmp_path / "r.json"
+        argv = ["decompose", "--kind", kind, "--input", inp, "--output", str(out)]
+        if error is None:
+            assert main(argv) == 0
+            assert main(["check", "--input", inp, "--result", str(out)]) == 0
+        else:
+            assert main(argv) == 3
+            assert error in capsys.readouterr().err and not out.exists()
+
     def test_overflowing_hermitian_exits_3(self, tmp_path, capsys):
         big = 1.5e308
         m = DualMatrix(np.full((2, 2), big), [[0.0, big], [-big, 0.0]])
@@ -612,7 +631,10 @@ class TestSummary:
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_summary_exits_2(self, tmp_path, rng, capsys, case):
         kind, spoil = MALFORMED[case]
-        m = random_symmetric(rng, 3) if kind == "t-spectral" else random_dual_matrix(rng, 3)
+        if kind == "t-spectral":
+            m = random_self_adjoint(rng, 3, FLAVOR_T)
+        else:
+            m = random_dual_matrix(rng, 3)
         inp, out, doc = decomposed(tmp_path, kind, m)
         spoil(doc)
         out.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
@@ -623,10 +645,12 @@ class TestSummary:
     @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral", "star-spectral"])
     def test_moved_summary_value_exits_4(self, tmp_path, rng, capsys, kind, field):
         # A degenerate Hermitian M puts a 2x2 block first in star-spectral.
-        m = {
-            "t-spectral": random_symmetric,
-            "star-spectral": random_degenerate_hermitian,
-        }.get(kind, random_dual_matrix)(rng, 4)
+        if kind == "t-spectral":
+            m = random_self_adjoint(rng, 4, FLAVOR_T)
+        elif kind == "star-spectral":
+            m = random_degenerate_self_adjoint(rng, 4, FLAVOR_STAR)
+        else:
+            m = random_dual_matrix(rng, 4)
         inp, out, doc = decomposed(tmp_path, kind, m)
         assert main(["check", "--input", inp, "--result", str(out)]) == 0
         if kind.startswith("star"):
@@ -660,7 +684,6 @@ class TestSummary:
     def test_summary_reads_back_as_the_held_middle(self, rng, flavor):
         star = flavor is FLAVOR_STAR
         spectral = star_spectral if star else t_spectral
-        degenerate = random_degenerate_hermitian if star else random_degenerate_symmetric
         sizes = set()
 
         def reads_back(kind, m, r):
@@ -676,6 +699,6 @@ class TestSummary:
                 reads_back("svd", a, svd(a, flavor))
                 reads_back("spectral", h, spectral(h))
             # A repeated eigenvalue gives a star spectral result a 2x2 block.
-            h = degenerate(rng, n)
+            h = random_degenerate_self_adjoint(rng, n, flavor)
             reads_back("spectral", h, spectral(h))
         assert sizes == ({0, 1, 2} if star else {1})

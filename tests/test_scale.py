@@ -23,6 +23,7 @@ from dualsvd import (
     NotInvertible,
     NotSymmetric,
     OutOfRange,
+    adjoint,
     classify_transform,
     gram_schmidt,
     penrose_residuals,
@@ -36,7 +37,7 @@ from dualsvd import (
     t_spectral,
 )
 from dualsvd.fileformat import parse_matrix
-from conftest import BACKEND_SCALES, random_dual_matrix, random_hermitian, random_symmetric
+from conftest import BACKEND_SCALES, random_dual_matrix, random_self_adjoint
 
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
 
@@ -44,9 +45,9 @@ REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
 def draws(rng, kind):
     """Four inputs of a kind: one per regime for the general kinds."""
     if kind == "t_spectral":
-        return [random_symmetric(rng, 4) for _ in REGIMES]
+        return [random_self_adjoint(rng, 4, FLAVOR_T) for _ in REGIMES]
     if kind == "star_spectral":
-        return [random_hermitian(rng, 4) for _ in REGIMES]
+        return [random_self_adjoint(rng, 4, FLAVOR_STAR) for _ in REGIMES]
     if kind == "classify":
         return [random_dual_matrix(rng, 2, "generic") for _ in REGIMES]
     return [random_dual_matrix(rng, 4, regime) for regime in REGIMES]
@@ -118,9 +119,9 @@ def invariant_defects(kind, m, r):
             return []
         res = penrose_residuals(m, r)
         return [res["mxm"] / mn, res["xmx"] / r.norm(), res["mx_symmetric"], res["xm_symmetric"]]
-    iso = "t_orthogonal" if kind == "t_spectral" else "unitary"
-    recon = r.v @ r.sigma_matrix() @ (r.v.T if kind == "t_spectral" else r.v.star())
-    return [structure_residual(r.v, iso), (recon - m).norm() / mn]
+    flavor = FLAVOR_T if kind == "t_spectral" else FLAVOR_STAR
+    recon = r.v @ r.sigma_matrix() @ adjoint(r.v, flavor)
+    return [structure_residual(r.v, flavor.isometry), (recon - m).norm() / mn]
 
 
 @pytest.mark.parametrize("kind", KINDS)

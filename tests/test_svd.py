@@ -10,7 +10,6 @@ from dualsvd import (
     Dual,
     DualMatrix,
     NotInvertible,
-    SpectralBlock,
     adjoint,
     eigenvalue_multiset,
     form,
@@ -25,13 +24,14 @@ from dualsvd import (
     t_polar,
     t_spectral,
 )
-from dualsvd.spectral import DEFAULT_CLUSTER_TOL
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL, middle_matrix
 from conftest import (
-    block_matrix,
     block_matrix_loop,
     corrector_loop,
+    middle_pairs,
     pinv_diag_reference,
     random_dual_matrix,
+    random_isometry,
 )
 
 FLAVORS = (FLAVOR_T, FLAVOR_STAR)
@@ -60,7 +60,7 @@ def check_svd(m, r, tol=1e-9):
 class TestSvdInvertible:
     def test_one_by_one(self):
         r = svd_invertible(DualMatrix([[1.0]], [[1.0]]), FLAVOR_T)
-        assert r.diag == [Dual(1, 1)]
+        assert middle_pairs(r) == [(1.0, 1.0)]
         assert (r.u - DualMatrix(np.eye(1))).norm() < 1e-14
         assert (r.v - DualMatrix(np.eye(1))).norm() < 1e-14
 
@@ -93,7 +93,7 @@ class TestSvdInvertible:
             r = svd_invertible(m, flavor)
             check_svd(m, r)
             if flavor == FLAVOR_T:
-                assert all(d.std > 0 for d in r.diag)
+                assert (r.middle[0] > 0).all()
             else:
                 assert all(b.sigma > 0 for b in r.blocks)
 
@@ -156,14 +156,14 @@ class TestOneAppreciabilityRule:
 class TestGeneralSvd:
     def test_pure_eps_scalar(self):
         r = svd(DualMatrix([[0.0]], [[1.0]]), FLAVOR_T)
-        assert r.diag == [Dual(0, 1)]
+        assert middle_pairs(r) == [(0.0, 1.0)]
         check_svd(DualMatrix([[0.0]], [[1.0]]), r, 1e-14)
 
     def test_nilpotent_with_tail(self):
         m = DualMatrix([[0, 1], [0, 0]], [[0, 0], [0, 1]])
         r = svd(m, FLAVOR_T)
         check_svd(m, r, 1e-12)
-        vals = sorted(((d.std, abs(d.inf)) for d in r.diag), reverse=True)
+        vals = sorted(((s, abs(sp)) for s, sp in middle_pairs(r)), reverse=True)
         # Column 0 is exactly zero and column 1 is the unit-form vector
         # (1, eps), so the singular values are exactly 1 and 0: the eps
         # lives in U, not in Sigma.
@@ -176,7 +176,6 @@ class TestGeneralSvd:
         want = np.linalg.svd(a, compute_uv=False)
         got = sorted((b.sigma for b in r.blocks), reverse=True)
         assert np.allclose(got, want, atol=1e-9)
-        assert r.diag is None
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("regime", REGIMES)
@@ -189,12 +188,12 @@ class TestGeneralSvd:
     def test_canonical_order(self, rng):
         m = random_dual_matrix(rng, 6, "rankdef")
         r = svd(m, FLAVOR_T)
-        app = [d.std for d in r.diag if d.std > 0]
+        app = [s for s in r.middle[0].tolist() if s > 0]
         assert app == sorted(app, reverse=True)
 
     def test_empty_matrix(self):
         r = svd(DualMatrix(np.zeros((0, 0))), FLAVOR_T)
-        assert r.diag == []
+        assert middle_pairs(r) == []
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -213,12 +212,8 @@ class TestGeneralSvd:
 def squared_multiset(r):
     """Eigenvalue multiset of Sigma^adj Sigma: a block sigma + eps*sigma'
     squares to sigma^2 + eps*2*sigma*sigma'."""
-    if r.flavor == FLAVOR_T:
-        blocks = [SpectralBlock(d.std, d.inf, 1) for d in r.diag]
-    else:
-        blocks = r.blocks
     pairs = []
-    for b in blocks:
+    for b in r.blocks:
         sq = Dual(b.sigma, b.sigma_prime) * Dual(b.sigma, b.sigma_prime)
         pairs += [(sq.std, sq.inf), (sq.std, -sq.inf)][: b.size]
     return sorted(pairs)
@@ -339,9 +334,9 @@ class TestEveryCorrectorWrite:
         else:
             # A generic B~ gives each cluster one rotation block.
             assert [b.size for b in r.blocks][:4] == [1, 2, 2, 1]
-        for sigma in (block_matrix(r.blocks), block_matrix_loop(r.blocks)):
-            assert np.array_equal(sigma.std, r.sigma.std)
-            assert np.array_equal(sigma.inf, r.sigma.inf)
+        sigma = block_matrix_loop(r.blocks)
+        assert np.array_equal(sigma.std, r.sigma.std)
+        assert np.array_equal(sigma.inf, r.sigma.inf)
         for b in r.blocks:
             assert type(b.sigma) is float and type(b.sigma_prime) is float
             assert type(b.size) is int
@@ -666,3 +661,68 @@ class TestPinvClosedForm:
                     if want is not None:
                         err = max(np.abs(g - w).max() for g, w in zip((got.std, got.inf), want))
                         assert err <= 1e-10 * max(np.abs(w).max() for w in want)
+
+
+def planted_svd(rng, n, flavor):
+    """M = U Sigma V^adj with exact isometries U, V and a canonical middle
+    factor planted as its per-index arrays (sig, sp, size), returned with M.
+    T: sig descending in (0.1, 1) and Gaussian sp.  Star: n // 2 rotation
+    blocks, each with its sig repeated and sp in (0.1, 1), then a scalar
+    block of 0.05 when n is odd."""
+    if flavor == FLAVOR_T:
+        sig = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+        sp = rng.standard_normal(n)
+        size = np.ones(n, dtype=int)
+    else:
+        h = n // 2
+        sig = np.append(np.repeat(np.sort(rng.uniform(0.1, 1.0, h))[::-1], 2), [0.05] * (n % 2))
+        sp = np.zeros(n)
+        sp[: 2 * h : 2] = rng.uniform(0.1, 1.0, h)
+        size = np.array([2, 0] * h + [1] * (n % 2))
+    u, v = random_isometry(rng, n, flavor), random_isometry(rng, n, flavor)
+    return u @ middle_matrix(sig, sp, size) @ adjoint(v, flavor), (sig, sp, size)
+
+
+class TestPlantedTruth:
+    """The SVD against a middle factor known before the call: the first
+    reference for the star sigma'."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 128])
+    def test_svd_recovers_the_planted_middle_factor(self, flavor, n):
+        # The worst draw came to 2.6*n*eps*||M||.
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            m, (sig, sp, size) = planted_svd(rng, n, flavor)
+            got = svd(m, flavor).middle
+            assert np.array_equal(got[2], size)
+            limit = 10 * n * np.finfo(float).eps * m.norm()
+            assert np.abs(got[0] - sig).max() <= limit
+            assert np.abs(got[1] - sp).max() <= limit
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            1.0,
+            2.0**10,
+            pytest.param(
+                2.0**17,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP.md item 8: the split judges A at ||M||, so at "
+                    "||B|| >> ||A|| U0 can be a reflection of A's polar factor",
+                ),
+            ),
+        ],
+    )
+    def test_t_polar_keeps_the_polar_factor_of_a(self, lam):
+        # A = Q1 diag(1, 0.5, 1e-3) Q2^T is invertible, so U0 = Q1 Q2^T
+        # whatever B is.  At lam = 2^17, det(U0) = -1: the split puts sigma_3
+        # in the zero block, whose sign B~ decides; the reconstruction still
+        # passes.
+        rng = np.random.default_rng(0)
+        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a = q1 @ np.diag([1.0, 0.5, 1e-3]) @ q2.T
+        m = DualMatrix(a, lam * rng.standard_normal((3, 3)))
+        assert np.abs(t_polar(m).u.std - q1 @ q2.T).max() <= 1e-12
