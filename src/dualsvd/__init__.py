@@ -51,8 +51,7 @@ from .svd import (
     PolarResult,
     SubspaceSplit,
     SvdResult,
-    penrose_limits,
-    penrose_residuals,
+    penrose,
     pinv_t,
     split_subspaces,
     svd,
@@ -70,8 +69,7 @@ __all__ = [
     "SpectralBlock", "SpectralDecomposition", "star_spectral", "t_spectral",
     "eigenvalue_multiset",
     "SvdResult", "SubspaceSplit", "PolarResult",
-    "svd", "svd_invertible", "split_subspaces", "t_polar", "pinv_t",
-    "penrose_residuals", "penrose_limits",
+    "svd", "svd_invertible", "split_subspaces", "t_polar", "pinv_t", "penrose",
     "LaguerreTransform", "LaguerreClassification", "apply_transform",
     "classify_transform",
     "DualLinAlgError", "PreconditionViolation", "DimensionMismatch", "NotSquare", "NotSymmetric",

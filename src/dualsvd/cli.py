@@ -27,7 +27,7 @@ from .linalg import (
     structure_residual,
 )
 from .spectral import middle_matrix, star_spectral, t_spectral
-from .svd import penrose_limits, penrose_residuals, pinv_t, svd, t_polar
+from .svd import penrose, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
 KIND_FACTORS = {
@@ -90,8 +90,8 @@ def _p_definite(p: DualMatrix, split: float) -> float:
 def _invariants(m: DualMatrix, doc: dict, f: dict):
     """Yield (name, residual, limit) for every invariant of the document
     ``doc`` with factors ``f``.  Each limit is ``ORTHONORMAL_TOL`` times the
-    scale of its residual: 1 for an isometry, ``penrose_limits`` for the
-    Penrose identities, and ||M|| for every other residual."""
+    scale of its residual: 1 for an isometry, the scales that ``penrose``
+    yields for the Penrose identities, and ||M|| for every other residual."""
     flavor = KIND_FACTORS[doc["kind"]][0]
     lim = ORTHONORMAL_TOL * m.norm()
     for name in sorted(f.keys() & {"u", "v"}):
@@ -117,9 +117,8 @@ def _invariants(m: DualMatrix, doc: dict, f: dict):
         recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
         yield "reconstruction", (recon - m).norm(), lim
     elif "pinv" in f:
-        lims = penrose_limits(m, f["pinv"])
-        for name, val in penrose_residuals(m, f["pinv"]).items():
-            yield f"penrose_{name}", val, lims[name]
+        for name, val, limit in penrose(m, f["pinv"]):
+            yield f"penrose_{name}", val, limit
 
 
 def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:

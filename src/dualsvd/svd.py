@@ -166,30 +166,26 @@ def t_polar(m: DualMatrix) -> PolarResult:
     return PolarResult(DualMatrix._of(u0 @ v0.T, u0 @ w @ v0.T), DualMatrix._of(*p))
 
 
-def penrose_residuals(m: DualMatrix, x: DualMatrix) -> dict:
-    """Residuals of the four Penrose identities with the T-transpose."""
-    mx, xm = m @ x, x @ m
-    return {
-        "mxm": (mx @ m - m).norm(),
-        "xmx": (xm @ x - x).norm(),
-        "mx_symmetric": (mx - mx.T).norm(),
-        "xm_symmetric": (xm - xm.T).norm(),
-    }
-
-
-def penrose_limits(m: DualMatrix, x: DualMatrix) -> dict:
-    """Each Penrose identity's limit: ``ORTHONORMAL_TOL`` times the scale of
-    its residual.  MXM - M scales like M and XMX - X like X; MX and XM are
+def penrose(m: DualMatrix, x: DualMatrix):
+    """Yield (name, residual, limit) for each of the four Penrose identities
+    with the T-transpose.  Each limit is ``ORTHONORMAL_TOL`` times the scale of
+    its residual: MXM - M scales like M and XMX - X like X; MX and XM are
     dimensionless, so their symmetry defects get ``ORTHONORMAL_TOL`` itself."""
     t = ORTHONORMAL_TOL
-    return {"mxm": t * m.norm(), "xmx": t * x.norm(), "mx_symmetric": t, "xm_symmetric": t}
+    mx, xm = m @ x, x @ m
+    yield "mxm", (mx @ m - m).norm(), t * m.norm()
+    yield "xmx", (xm @ x - x).norm(), t * x.norm()
+    yield "mx_symmetric", (mx - mx.T).norm(), t
+    yield "xm_symmetric", (xm - xm.T).norm(), t
 
 
 def pinv_t(m: DualMatrix):
     """Moore-Penrose pseudoinverse, or None if a delta of the zero block exceeds
     DEFAULT_SPLIT_TOL*||M||: X = V0 (S^+ + eps*X~) U0^T for X~ = [[-B~11_ij /
     (s_i s_j), S^-2 B~21^T], [B~12^T S^-2, 0]] (Golub & Pereyra, SIAM J. Numer.
-    Anal. 1973).  It all runs on M/c, the ``penrose_limits(M, X)`` check too."""
+    Anal. 1973).  It all runs on M/c, the self-check too: one pass over
+    ``penrose(M, X)`` raises VerificationError on the first identity above
+    its limit."""
     m, c, scale, u0, s, v0, bt, k, delta = _front(m)
     if (delta > DEFAULT_SPLIT_TOL * scale).any():
         return None
@@ -201,8 +197,7 @@ def pinv_t(m: DualMatrix):
     x_inf[:k, k:] = bt[k:, :k].T / (sk * sk)[:, None]
     x_inf[k:, :k] = bt[:k, k:].T / (sk * sk)
     x = DualMatrix._of(np.multiply(v0, x_std, order="C") @ u0.T, v0 @ x_inf @ u0.T)
-    residuals = penrose_residuals(m, x)
-    for name, limit in penrose_limits(m, x).items():
-        if not residuals[name] <= limit:
-            raise VerificationError(f"Penrose {name}: {residuals[name]:.3e} > limit {limit:.3e}")
+    for name, residual, limit in penrose(m, x):
+        if not residual <= limit:
+            raise VerificationError(f"Penrose {name}: {residual:.3e} > limit {limit:.3e}")
     return DualMatrix._of(*scale_back(1.0 / c, x.std, x.inf))

@@ -270,6 +270,14 @@ class TestDecompose:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_ill_conditioned_data_file_exits_4(self, tmp_path, capsys):
+        inp = str(DATA / "pinv_ill_conditioned_3x3.json")
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", str(out)]) == 4
+        msg = "Penrose mx_symmetric: 3.427e-08 > limit 1.000e-08"
+        assert capsys.readouterr().err == f"error: VerificationError: {msg}\n"
+        assert not out.exists()
+
 
 class TestClassify:
     def test_form1_output(self, tmp_path, capsys):
@@ -582,6 +590,13 @@ class TestCheck:
         out = str(tmp_path / "r.json")
         main(["decompose", "--kind", "pinv", "--input", inp, "--output", out])
         assert main(["check", "--input", inp, "--result", out]) == 0
+
+    def test_pure_eps_data_file_is_nonexistent(self, tmp_path):
+        inp = str(DATA / "pinv_nonexistent_2x2.json")
+        out = tmp_path / "r.json"
+        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", str(out)]) == 0
+        assert loads(out.read_text())["outcome"] == "nonexistent"
+        assert main(["check", "--input", inp, "--result", str(out)]) == 0
 
 
 def decomposed(tmp_path, kind, m):

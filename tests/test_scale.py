@@ -26,7 +26,7 @@ from dualsvd import (
     adjoint,
     classify_transform,
     gram_schmidt,
-    penrose_residuals,
+    penrose,
     pinv_t,
     split_subspaces,
     star_spectral,
@@ -37,6 +37,7 @@ from dualsvd import (
     t_spectral,
 )
 from dualsvd.fileformat import parse_matrix
+from dualsvd.linalg import ORTHONORMAL_TOL
 from conftest import BACKEND_SCALES, random_dual_matrix, random_self_adjoint
 
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
@@ -115,10 +116,8 @@ def invariant_defects(kind, m, r):
             return [structure_residual(r.u, iso), recon]
         return [structure_residual(r.u, iso), structure_residual(r.v, iso), recon]
     if kind == "pinv_t":
-        if r is None:
-            return []
-        res = penrose_residuals(m, r)
-        return [res["mxm"] / mn, res["xmx"] / r.norm(), res["mx_symmetric"], res["xm_symmetric"]]
+        # Each residual over its scale: its limit over ORTHONORMAL_TOL.
+        return [] if r is None else [res * ORTHONORMAL_TOL / lim for _, res, lim in penrose(m, r)]
     flavor = FLAVOR_T if kind == "t_spectral" else FLAVOR_STAR
     recon = r.v @ r.sigma_matrix() @ adjoint(r.v, flavor)
     return [structure_residual(r.v, flavor.isometry), (recon - m).norm() / mn]

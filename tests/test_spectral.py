@@ -18,7 +18,7 @@ from dualsvd import (
     t_spectral,
 )
 from dualsvd.realspec import sym_eig
-from dualsvd.spectral import DEFAULT_CLUSTER_TOL, _cluster_runs
+from dualsvd.spectral import DEFAULT_CLUSTER_TOL, _cluster_runs, middle_matrix
 from conftest import (
     BACKEND_SCALES,
     block_matrix_loop,
@@ -295,3 +295,44 @@ def test_cluster_runs_on_rounded_gaps(rng):
         vals = np.sort(rng.standard_normal(8) * 1e8)[::-1]
         limit = float(np.quantile(vals[:-1] - vals[1:], 0.5))
         assert _cluster_runs(vals, limit) == cluster_runs_vectorized(vals, limit)
+
+
+def planted_spectral(rng, n, flavor):
+    """M = V Sigma V^adj with an exact isometry V and a canonical middle
+    factor planted as its per-index arrays (d, dp, size), returned with M.
+    T: distinct d descending in (-1, 1) and Gaussian dp.  Star: n // 2
+    rotation blocks, each with its d repeated and dp in (0.1, 1), and, when
+    n is odd, a scalar block with dp = 0 at a random place in the descending
+    order of d."""
+    if flavor == FLAVOR_T:
+        d = np.sort(rng.uniform(-1.0, 1.0, n))[::-1]
+        dp = rng.standard_normal(n)
+        size = np.ones(n, dtype=int)
+    else:
+        sizes = np.full(n // 2 + n % 2, 2)
+        sizes[rng.integers(len(sizes))] -= n % 2
+        d = np.repeat(np.sort(rng.uniform(-1.0, 1.0, len(sizes)))[::-1], sizes)
+        # Each block's size at its first index, 0 at the second index of a pair.
+        size = np.concatenate([[z] + [0] * (z - 1) for z in sizes.tolist()])
+        dp = np.where(size == 2, rng.uniform(0.1, 1.0, n), 0.0)
+    v = random_isometry(rng, n, flavor)
+    return v @ middle_matrix(d, dp, size) @ adjoint(v, flavor), (d, dp, size)
+
+
+class TestPlantedTruth:
+    """The spectral decompositions against a middle factor known before the
+    call: the first reference for the star d'."""
+
+    @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 128])
+    def test_recovers_the_planted_middle_factor(self, flavor, n):
+        # The worst draw came to 1.5*n*eps*||M||.
+        rng = np.random.default_rng(24)
+        decomp = t_spectral if flavor == FLAVOR_T else star_spectral
+        for _ in range(3):
+            m, (d, dp, size) = planted_spectral(rng, n, flavor)
+            got = decomp(m).middle
+            assert np.array_equal(got[2], size)
+            limit = 10 * n * np.finfo(float).eps * m.norm()
+            assert np.abs(got[0] - d).max() <= limit
+            assert np.abs(got[1] - dp).max() <= limit

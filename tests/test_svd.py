@@ -1,6 +1,8 @@
 """T-SVD and *-SVD, subspace splitting, polar decomposition and the
 pseudoinverse."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from dualsvd import (
     Dual,
     DualMatrix,
     NotInvertible,
+    VerificationError,
     adjoint,
     eigenvalue_multiset,
     form,
-    penrose_limits,
-    penrose_residuals,
+    penrose,
     pinv_t,
     split_subspaces,
     star_spectral,
@@ -24,6 +26,7 @@ from dualsvd import (
     t_polar,
     t_spectral,
 )
+from dualsvd.fileformat import parse_matrix
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, middle_matrix
 from conftest import (
     block_matrix_loop,
@@ -36,6 +39,7 @@ from conftest import (
 
 FLAVORS = (FLAVOR_T, FLAVOR_STAR)
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
+DATA = Path(__file__).parent / "data"
 
 
 def check_svd(m, r, tol=1e-9):
@@ -483,8 +487,7 @@ def pinv_exists_1x1(a, b):
 
 def within_penrose_limits(m, x):
     """Every Penrose residual within its limit at its own scale."""
-    lims = penrose_limits(m, x)
-    return all(r <= lims[name] for name, r in penrose_residuals(m, x).items())
+    return all(r <= lim for _, r, lim in penrose(m, x))
 
 
 class TestPinv:
@@ -538,7 +541,6 @@ class TestPinv:
 
         def resid(p):
             x = DualMatrix(p[:4].reshape(2, 2), p[4:].reshape(2, 2))
-            r = penrose_residuals(m, x)
             mx = m @ x
             xm = x @ m
             out = []
@@ -567,17 +569,44 @@ class TestPinv:
         # dimensionless symmetry defects against 1, as bench/verify.py does.
         m = random_dual_matrix(rng, 3, "generic")
         x = pinv_t(m)
-        lims = penrose_limits(m, x)
-        assert lims == {
-            "mxm": 1e-8 * m.norm(),
-            "xmx": 1e-8 * x.norm(),
-            "mx_symmetric": 1e-8,
-            "xm_symmetric": 1e-8,
-        }
+        assert [(name, lim) for name, _, lim in penrose(m, x)] == [
+            ("mxm", 1e-8 * m.norm()),
+            ("xmx", 1e-8 * x.norm()),
+            ("mx_symmetric", 1e-8),
+            ("xm_symmetric", 1e-8),
+        ]
         for n in (0, 2):
             z = DualMatrix(np.zeros((n, n)))
-            assert penrose_limits(z, z)["xmx"] == 0.0
+            assert {name: lim for name, _, lim in penrose(z, z)}["xmx"] == 0.0
             assert np.array_equal(pinv_t(z).std, z.std)
+
+
+def gaussian_draw(n, index):
+    """Draw number ``index`` (from 0) of default_rng(0), each draw being an
+    n x n standard part and then an n x n infinitesimal part."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        m = DualMatrix(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    return m
+
+
+class TestPinvSelfCheck:
+    """pinv_t raises on the first Penrose identity above its limit."""
+
+    def test_ill_conditioned_3x3_fails_mx_symmetric(self):
+        # cond(A) = 2.3e4: MX misses symmetry by 3.4 times its limit.
+        m = parse_matrix((DATA / "pinv_ill_conditioned_3x3.json").read_text())
+        want = gaussian_draw(3, 1103)
+        assert np.array_equal(m.std, want.std) and np.array_equal(m.inf, want.inf)
+        msg = "Penrose mx_symmetric: 3.427e-08 > limit 1.000e-08"
+        with pytest.raises(VerificationError) as info:
+            pinv_t(m)
+        assert str(info.value) == msg
+
+    def test_first_failing_identity_is_named(self):
+        # At n = 8, MXM - M is the first identity over its limit.
+        with pytest.raises(VerificationError, match=r"^Penrose mxm: "):
+            pinv_t(gaussian_draw(8, 1166))
 
 
 def closed_form_pinv(a, b):
@@ -683,6 +712,47 @@ def planted_svd(rng, n, flavor):
     return u @ middle_matrix(sig, sp, size) @ adjoint(v, flavor), (sig, sp, size)
 
 
+def planted_pinv(rng, n, r, exists):
+    """M = U (S + eps*B~) V^T with exact T-isometries U, V and S = diag(s, 0),
+    k = n - r values s descending in (0.1, 1), returned with its planted
+    pseudoinverse.  B~ is Gaussian but for its r x r zero block B~22: 0 if
+    ``exists``, and then X = V (S^+ + eps*X~) U^T with X~ from Golub & Pereyra
+    (SIAM J. Numer. Anal. 1973); diag(U(0.1, 1)) otherwise, and then None."""
+    k = n - r
+    s = np.zeros(n)
+    s[:k] = np.sort(rng.uniform(0.1, 1.0, k))[::-1]
+    bt = rng.standard_normal((n, n))
+    bt[k:, k:] = 0.0 if exists else np.diag(rng.uniform(0.1, 1.0, r))
+    u, v = random_isometry(rng, n, FLAVOR_T), random_isometry(rng, n, FLAVOR_T)
+    m = u @ DualMatrix(np.diag(s), bt) @ v.T
+    if not exists:
+        return m, None
+    sk = s[:k]
+    xt = np.zeros((n, n))
+    xt[:k, :k] = -bt[:k, :k] / (sk[:, None] * sk)
+    xt[:k, k:] = bt[k:, :k].T / (sk * sk)[:, None]
+    xt[k:, :k] = bt[:k, k:].T / (sk * sk)
+    s_plus = np.zeros(n)
+    s_plus[:k] = 1.0 / sk
+    return m, v @ DualMatrix(np.diag(s_plus), xt) @ u.T
+
+
+def two_scale(lam):
+    """ROADMAP item 8's input M = A + eps*lam*G, with A = Q1 diag(1, 0.5,
+    1e-3) Q2^T invertible, returned with A's polar factor Q1 Q2^T."""
+    rng = np.random.default_rng(0)
+    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a = q1 @ np.diag([1.0, 0.5, 1e-3]) @ q2.T
+    return DualMatrix(a, lam * rng.standard_normal((3, 3))), q1 @ q2.T
+
+
+ITEM_8 = (
+    "ROADMAP.md item 8: every decision is judged at ||M|| = max(||A||, ||B||), "
+    "so at ||B|| >> ||A|| "
+)
+
+
 class TestPlantedTruth:
     """The SVD against a middle factor known before the call: the first
     reference for the star sigma'."""
@@ -709,20 +779,64 @@ class TestPlantedTruth:
                 2.0**17,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="ROADMAP.md item 8: the split judges A at ||M||, so at "
-                    "||B|| >> ||A|| U0 can be a reflection of A's polar factor",
+                    reason=ITEM_8 + "U0 can be a reflection of A's polar factor",
                 ),
             ),
         ],
     )
     def test_t_polar_keeps_the_polar_factor_of_a(self, lam):
-        # A = Q1 diag(1, 0.5, 1e-3) Q2^T is invertible, so U0 = Q1 Q2^T
-        # whatever B is.  At lam = 2^17, det(U0) = -1: the split puts sigma_3
-        # in the zero block, whose sign B~ decides; the reconstruction still
-        # passes.
-        rng = np.random.default_rng(0)
-        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        a = q1 @ np.diag([1.0, 0.5, 1e-3]) @ q2.T
-        m = DualMatrix(a, lam * rng.standard_normal((3, 3)))
-        assert np.abs(t_polar(m).u.std - q1 @ q2.T).max() <= 1e-12
+        # A is invertible, so U0 = Q1 Q2^T whatever B is.  At lam = 2^17,
+        # det(U0) = -1: the split puts sigma_3 in the zero block, whose sign
+        # B~ decides; the reconstruction still passes.
+        m, polar = two_scale(lam)
+        assert np.abs(t_polar(m).u.std - polar).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 128])
+    def test_pinv_t_recovers_the_planted_pseudoinverse(self, n):
+        # r zero singular values; a pseudoinverse exists iff B~22 = 0.  The
+        # worst draw came to 5.5*n*eps*||X||.
+        rng = np.random.default_rng(5)
+        for r in sorted({0, 1, n // 2, n - 1}):
+            for exists in (True, False)[: 1 + (r > 0)]:
+                for _ in range(3):
+                    m, want = planted_pinv(rng, n, r, exists)
+                    got = pinv_t(m)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        limit = 10 * n * np.finfo(float).eps * want.norm()
+                        assert (got - want).norm() <= limit
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            1.0,
+            2.0**5,
+            pytest.param(
+                2.0**10,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=VerificationError,
+                    reason=ITEM_8 + "the self-check finds MX 1.58e-8 from symmetric, "
+                    "against its 1e-8 limit",
+                ),
+            ),
+            pytest.param(
+                2.0**17,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason=ITEM_8 + "sigma_3 falls in the zero block and pinv_t "
+                    "returns None",
+                ),
+            ),
+        ],
+    )
+    def test_pinv_t_of_the_two_scale_input_exists(self, lam):
+        # A is invertible, so X = A^-1 - eps*A^-1 B A^-1 at every lam.  Its
+        # eps part has cond(A)^2 = 1e6 as condition number.
+        m, _ = two_scale(lam)
+        x = pinv_t(m)
+        assert x is not None
+        a_inv = np.linalg.inv(m.std)
+        want = DualMatrix(a_inv, -a_inv @ m.inf @ a_inv)
+        assert (x - want).norm() <= 1e6 * np.finfo(float).eps * want.norm()
