@@ -51,6 +51,8 @@ from .svd import (
     PolarResult,
     SubspaceSplit,
     SvdResult,
+    factors_of,
+    invariants,
     penrose,
     pinv_t,
     split_subspaces,
@@ -70,6 +72,7 @@ __all__ = [
     "eigenvalue_multiset",
     "SvdResult", "SubspaceSplit", "PolarResult",
     "svd", "svd_invertible", "split_subspaces", "t_polar", "pinv_t", "penrose",
+    "invariants", "factors_of",
     "LaguerreTransform", "LaguerreClassification", "apply_transform",
     "classify_transform",
     "DualLinAlgError", "PreconditionViolation", "DimensionMismatch", "NotSquare", "NotSymmetric",

@@ -1,5 +1,6 @@
 """Command-line front end: decompose dual matrices from files, classify 2x2
-transforms, and independently re-verify result documents.
+transforms, and re-verify result documents.  One verdict, ``svd.invariants``,
+gives the residuals that ``decompose`` writes and the lines ``check`` prints.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 verification failure.
@@ -16,18 +17,9 @@ from . import fileformat
 from .errors import DualLinAlgError, OutOfRange, PreconditionViolation
 from .fileformat import ParseError
 from .laguerre import LaguerreTransform, classify_transform
-from .linalg import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_SPLIT_TOL,
-    FLAVOR_STAR,
-    FLAVOR_T,
-    ORTHONORMAL_TOL,
-    DualMatrix,
-    adjoint,
-    structure_residual,
-)
-from .spectral import middle_matrix, star_spectral, t_spectral
-from .svd import penrose, pinv_t, svd, t_polar
+from .linalg import DEFAULT_CLUSTER_TOL, DEFAULT_SPLIT_TOL, FLAVOR_STAR, FLAVOR_T, DualMatrix
+from .spectral import star_spectral, t_spectral
+from .svd import factors_of, invariants, pinv_t, svd, t_polar
 
 # Each kind's flavor and the factors its result document carries.
 KIND_FACTORS = {
@@ -57,10 +49,11 @@ def _summary(r) -> dict:
     return {"diag": [list(d) for d in zip(r.middle[0].tolist(), r.middle[1].tolist())]}
 
 
-def _middle_of(doc: dict, flavor, n: int) -> tuple:
+def _middle_of(doc: dict, flavor, n: int):
     """The per-index arrays (sigma, sigma_prime, size) of ``middle_matrix``,
     read from the summary: T ``diag`` pairs, or star ``blocks``, where a
-    size-2 block covers two indices and the second has size 0."""
+    size-2 block covers two indices and the second has size 0.  A generator,
+    so that a malformed summary exits 2 after ``check`` prints U's and V's lines."""
     try:
         if flavor is FLAVOR_STAR:
             pairs = [[b["sigma"], b["sigma_prime"]] for b in doc["summary"]["blocks"]]
@@ -75,50 +68,7 @@ def _middle_of(doc: dict, flavor, n: int) -> tuple:
         raise ParseError(f"summary block sizes must be 1 or 2 and add up to {n}")
     at = np.repeat(np.arange(len(sizes)), sizes)  # the block of each index
     head = np.diff(at, prepend=-1) > 0  # False at the second index of a block
-    return vals.std[at, 0], vals.inf[at, 0] * head, np.repeat(sizes, sizes) * head
-
-
-def _p_definite(p: DualMatrix, split: float) -> float:
-    """How far P is from dual positive semidefinite: P0 >= 0, and P1 >= 0 on
-    the null space of P0, spanned by its eigenvectors at most ``split``."""
-    lam, q = np.linalg.eigh(p.std)
-    null = q[:, lam <= split]
-    low = np.linalg.eigvalsh(null.T @ p.inf @ null).min(initial=np.inf)
-    return max(0.0, -min(lam.min(initial=np.inf), low))
-
-
-def _invariants(m: DualMatrix, doc: dict, f: dict):
-    """Yield (name, residual, limit) for every invariant of the document
-    ``doc`` with factors ``f``.  Each limit is ``ORTHONORMAL_TOL`` times the
-    scale of its residual: 1 for an isometry, the scales that ``penrose``
-    yields for the Penrose identities, and ||M|| for every other residual."""
-    flavor = KIND_FACTORS[doc["kind"]][0]
-    lim = ORTHONORMAL_TOL * m.norm()
-    for name in sorted(f.keys() & {"u", "v"}):
-        yield f"{name}_structure", structure_residual(f[name], flavor.isometry), ORTHONORMAL_TOL
-    if "p" in f:
-        yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
-        # A polar factor is positive semidefinite: (-U, -P) factors M too.  The
-        # library's zero eigenvalues of P0 sit near eps*||M||, its kept ones
-        # above its split DEFAULT_SPLIT_TOL*||M||; half of that parts the two.
-        yield "p_definite", _p_definite(f["p"], 0.5 * DEFAULT_SPLIT_TOL * m.norm()), lim
-        yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
-    elif "sigma" in f:
-        sigma = f["sigma"]
-        # Sigma's pattern is the middle factor that the summary describes.
-        pattern = (sigma - middle_matrix(*_middle_of(doc, flavor, m.shape[0]))).norm()
-        if flavor is FLAVOR_STAR:
-            if "u" not in f:
-                yield "sigma_hermitian", structure_residual(sigma, "hermitian"), lim
-            yield "sigma_block_form", pattern, lim
-        else:
-            yield "sigma_diagonal", pattern, lim
-        # U Sigma V^adj, or V Sigma V^adj for a spectral result.
-        recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
-        yield "reconstruction", (recon - m).norm(), lim
-    elif "pinv" in f:
-        for name, val, limit in penrose(m, f["pinv"]):
-            yield f"penrose_{name}", val, limit
+    yield from (vals.std[at, 0], vals.inf[at, 0] * head, np.repeat(sizes, sizes) * head)
 
 
 def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> dict:
@@ -130,22 +80,19 @@ def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> di
     doc: dict = {"kind": kind, "rows": m.shape[0], "cols": m.shape[1], "outcome": "ok"}
     if kind.endswith("-svd"):
         r = svd(m, flavor)
-        factors = {"u": r.u, "sigma": r.sigma, "v": r.v}
-        doc["summary"] = _summary(r)
     elif kind.endswith("-spectral"):
         r = (star_spectral if flavor is FLAVOR_STAR else t_spectral)(m)
-        factors = {"v": r.v, "sigma": r.sigma_matrix()}
-        doc["summary"] = _summary(r)
     elif kind == "t-polar":
         r = t_polar(m)
-        factors = {"u": r.u, "p": r.p}
     else:
-        x = pinv_t(m)
-        factors = {} if x is None else {"pinv": x}
-        if x is None:
+        r = pinv_t(m)
+        if r is None:
             doc["outcome"] = "nonexistent"
+    flavor, factors, middle = factors_of(r)
+    if middle is not None:
+        doc["summary"] = _summary(r)
     doc["factors"] = {name: fileformat.matrix_to_obj(a) for name, a in factors.items()}
-    doc["residuals"] = {name: res for name, res, _ in _invariants(m, doc, factors)}
+    doc["residuals"] = {name: res for name, res, _ in invariants(m, flavor, factors, middle)}
     for name, res in doc["residuals"].items():
         if not np.isfinite(res):
             raise OutOfRange(f"residual {name} is not finite: a product of factors overflows")
@@ -192,15 +139,16 @@ def _get_factor(doc, name) -> DualMatrix:
 
 def _verify(m: DualMatrix, doc: dict):
     """Yield (name, residual, limit) triples for every invariant of the
-    result document, each limit ``ORTHONORMAL_TOL`` times its scale."""
+    result document: the ``invariants`` of its factors and summary."""
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"result document has unknown kind {kind!r}")
     if kind == "pinv" and doc.get("outcome") == "nonexistent":
         yield "nonexistence_confirmed", float(pinv_t(m) is not None), 0.5
         return
-    factors = {name: _get_factor(doc, name) for name in KIND_FACTORS[kind][1]}
-    yield from _invariants(m, doc, factors)
+    flavor, names = KIND_FACTORS[kind]
+    factors = {name: _get_factor(doc, name) for name in names}
+    yield from invariants(m, flavor, factors, _middle_of(doc, flavor, m.shape[0]))
 
 
 def cmd_check(args) -> int:

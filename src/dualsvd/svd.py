@@ -16,7 +16,7 @@ Omega skew (T) or symmetric (star): exact isometries as eps**2 = 0.  For H =
 (B~ + sign*B~^T)/2 and K = B~ - H, Omega_U - Omega_V = 2K/(s_i + s_j) is the
 polar factor's W, and Omega_U + Omega_V = 2H/(s_j - s_i) across clusters and
 0 inside one: the SVD Jacobian of Papadopoulo & Lourakis (ECCV 2000), split
-evenly between U and V.  Sigma, blocks and residual are built when read.
+evenly between U and V.  Sigma and blocks are built when read.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .errors import NotInvertible, VerificationError
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_SPLIT_TOL,
+    FLAVOR_STAR,
+    FLAVOR_T,
     ORTHONORMAL_TOL,
     ZERO_BLOCK_TOL,
     DualMatrix,
@@ -36,10 +38,12 @@ from .linalg import (
     adjoint,
     require_square,
     scale_back,
+    structure_residual,
     unit_scale,
 )
 from .spectral import (
     HeldMiddle,
+    SpectralDecomposition,
     _cluster_runs,
     _divide_across,
     middle_matrix,
@@ -53,16 +57,10 @@ class SvdResult(HeldMiddle):
     v: DualMatrix
     flavor: Flavor
     middle: tuple
-    m: DualMatrix  # the decomposed matrix
 
     @property
     def sigma(self) -> DualMatrix:
         return middle_matrix(*self.middle)
-
-    @property
-    def residual(self) -> float:
-        """Reconstruction residual ||U Sigma V^adj - M||."""
-        return (self.reconstruct() - self.m).norm()
 
     def reconstruct(self) -> DualMatrix:
         return self.u @ self.sigma @ adjoint(self.v, self.flavor)
@@ -127,7 +125,7 @@ def svd(m: DualMatrix, flavor: str) -> SvdResult:
     half_sum = _divide_across(h_part, s, [*runs, (k, len(s))])
     u = DualMatrix._of(u0, u0 @ (half_sum + half_w))
     v = DualMatrix._of(v0, v0 @ (half_sum - half_w))
-    return SvdResult(u, v, flavor, (*scale_back(c, s, sp), size), m)
+    return SvdResult(u, v, flavor, (*scale_back(c, s, sp), size))
 
 
 def svd_invertible(m: DualMatrix, flavor: str) -> SvdResult:
@@ -177,6 +175,57 @@ def penrose(m: DualMatrix, x: DualMatrix):
     yield "xmx", (xm @ x - x).norm(), t * x.norm()
     yield "mx_symmetric", (mx - mx.T).norm(), t
     yield "xm_symmetric", (xm - xm.T).norm(), t
+
+
+def invariants(m: DualMatrix, flavor: str, factors: dict, middle=None):
+    """Yield (name, residual, limit) for every invariant of a result of M, as
+    ``factors_of`` gives it; ``middle`` is unpacked after the isometry
+    residuals.  Each limit is ``ORTHONORMAL_TOL`` times the scale of its
+    residual: 1 for an isometry, the scales that ``penrose`` yields for the
+    Penrose identities, and ||M|| for every other residual."""
+    flavor, f = Flavor(flavor), factors
+    lim = ORTHONORMAL_TOL * m.norm()
+    for name in sorted(f.keys() & {"u", "v"}):
+        yield f"{name}_structure", structure_residual(f[name], flavor.isometry), ORTHONORMAL_TOL
+    if "p" in f:
+        yield "p_symmetry", structure_residual(f["p"], "symmetric"), lim
+        # A polar factor is positive semidefinite, as (-U, -P) factors M too:
+        # P0 >= 0, and P1 >= 0 on the null space of P0.  The library's zero
+        # eigenvalues of P0 sit near eps*||M||, its kept ones above its split
+        # DEFAULT_SPLIT_TOL*||M||; half of that parts the two.
+        lam, q = np.linalg.eigh(f["p"].std)
+        null = q[:, lam <= 0.5 * DEFAULT_SPLIT_TOL * m.norm()]
+        low = np.linalg.eigvalsh(null.T @ f["p"].inf @ null).min(initial=np.inf)
+        yield "p_definite", max(0.0, -min(lam.min(initial=np.inf), low)), lim
+        yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
+    elif "sigma" in f:
+        sigma = f["sigma"]
+        pattern = (sigma - middle_matrix(*middle)).norm()
+        if flavor is FLAVOR_STAR:
+            if "u" not in f:
+                yield "sigma_hermitian", structure_residual(sigma, "hermitian"), lim
+            yield "sigma_block_form", pattern, lim
+        else:
+            yield "sigma_diagonal", pattern, lim
+        # U Sigma V^adj, or V Sigma V^adj for a spectral result.
+        recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
+        yield "reconstruction", (recon - m).norm(), lim
+    elif "pinv" in f:
+        for name, val, limit in penrose(m, f["pinv"]):
+            yield f"penrose_{name}", val, limit
+
+
+def factors_of(r) -> tuple:
+    """(flavor, factors, middle), the arguments of ``invariants`` after M, for
+    an SVD, spectral or polar result, a pseudoinverse or None: the factors by
+    the names a result document gives them, and the per-index middle."""
+    if isinstance(r, SvdResult):
+        return r.flavor, {"u": r.u, "sigma": r.sigma, "v": r.v}, r.middle
+    if isinstance(r, SpectralDecomposition):
+        return r.flavor, {"v": r.v, "sigma": r.sigma_matrix()}, r.middle
+    if isinstance(r, PolarResult):
+        return FLAVOR_T, {"u": r.u, "p": r.p}, None
+    return FLAVOR_T, {} if r is None else {"pinv": r}, None
 
 
 def pinv_t(m: DualMatrix):

@@ -6,7 +6,7 @@ All randomness is seeded per test so failures reproduce exactly.
 import numpy as np
 import pytest
 
-from dualsvd import DualMatrix, FLAVOR_T
+from dualsvd import FLAVOR_T, DualMatrix, factors_of, invariants
 from dualsvd.linalg import unit_scale
 from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
 
@@ -131,6 +131,27 @@ def pinv_diag_reference(m):
     x_inf[:k] = -b[:k] / (a[:k] * a[:k])
     x = r.v @ DualMatrix(np.diag(x_std), np.diag(x_inf)) @ r.u.T
     return x if c == 1.0 else DualMatrix(x.std / c, x.inf / c)
+
+
+def assert_invariants(m, r, f):
+    """Every invariant of r within f times its limit.  A product, not a
+    ratio: the zero matrix's limits are 0."""
+    for name, res, lim in invariants(m, *factors_of(r)):
+        assert res <= f * lim, f"{name}: {res:.3e} above {f} * {lim:.3e}"
+
+
+def check_result(m, r, f=0.1):
+    """Every invariant of an SVD or spectral result within f times its limit
+    (f = 0.1: 1e-9 for an isometry, 1e-9*||M|| for the rest), and the blocks
+    that the flavor allows, which the verdict does not judge: size 1 only for
+    T; for star, sizes 1 or 2 adding up to n, with sigma' != 0 on each 2x2
+    block."""
+    assert_invariants(m, r, f)
+    if r.flavor == FLAVOR_T:
+        assert [b.size for b in r.blocks] == [1] * m.shape[0]
+    else:
+        assert all(b.size == 1 or b.size == 2 and b.sigma_prime != 0.0 for b in r.blocks)
+        assert sum(b.size for b in r.blocks) == m.shape[0]
 
 
 def dual_abs_max(x) -> float:

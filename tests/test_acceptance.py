@@ -17,12 +17,13 @@ from dualsvd import (
     adjoint,
     classify_transform,
     eigenvalue_multiset,
+    factors_of,
     form,
     gram_schmidt,
+    invariants,
     penrose,
     pinv_t,
     star_spectral,
-    structure_residual,
     svd,
     t_spectral,
 )
@@ -53,26 +54,19 @@ def scaled(residual, scale):
     return residual / scale if residual else 0.0
 
 
-def svd_defect(m, r):
-    """The worst invariant at its own scale: the isometry defects as they
-    are, the reconstruction and Sigma's off-diagonal part over ||M||."""
-    struct = "t_orthogonal" if r.flavor == FLAVOR_T else "unitary"
-    like_m = [(r.reconstruct() - m).norm()]
-    mask = ~np.eye(m.shape[0], dtype=bool)
-    if r.flavor == FLAVOR_T and mask.any():
-        like_m += [np.abs(r.sigma.std[mask]).max(), np.abs(r.sigma.inf[mask]).max()]
-    return max(
-        structure_residual(r.u, struct),
-        structure_residual(r.v, struct),
-        scaled(max(like_m), m.norm()),
-    )
+def judge(m, r, f):
+    """Whether every invariant of r is within f times its limit, and the
+    largest residual over its limit."""
+    checks = list(invariants(m, *factors_of(r)))
+    ok = all(res <= f * lim for _, res, lim in checks)
+    return ok, max((scaled(res, lim) for _, res, lim in checks), default=0.0)
 
 
 def test_criterion_1_existence_at_scale(capsys):
     """1000 random matrices per flavor, n in 1..8, four regimes: the SVD
-    exists and all invariants hold at 1e-9 scaled."""
+    exists and all invariants hold at 0.1 of their limits, 1e-9 scaled."""
     rng = np.random.default_rng(1001)
-    worst = 0.0
+    ok, worst = True, 0.0
     count = 0
     for flavor in FLAVORS:
         for k in range(1000):
@@ -80,21 +74,24 @@ def test_criterion_1_existence_at_scale(capsys):
             regime = REGIMES[(k // 8) % 4]
             m = random_dual_matrix(rng, n, regime)
             r = svd(m, flavor)
-            worst = max(worst, svd_defect(m, r))
+            ok_r, worst_r = judge(m, r, 0.1)
+            # The verdict judges Sigma against its middle: T has no 2x2 block.
+            ok = ok and ok_r and (flavor == FLAVOR_STAR or (r.middle[2] == 1).all())
+            worst = max(worst, worst_r)
             count += 1
     report(
         capsys,
-        worst <= 1e-9,
+        ok,
         "criterion 1 (existence at scale)",
-        f"{count} decompositions, worst scaled defect {worst:.3e} (limit 1e-9)",
+        f"{count} decompositions, worst residual/limit {worst:.3e} (bound 0.1)",
     )
 
 
 def test_criterion_2_spectral_reconstruction(capsys):
-    """500 Hermitian and 500 symmetric matrices: reconstruction and structure
-    at 1e-9; every star 2x2 block carries a genuine sigma_prime."""
+    """500 Hermitian and 500 symmetric matrices: every invariant at 0.1 of
+    its limit, 1e-9 scaled; every star 2x2 block carries a genuine sigma_prime."""
     rng = np.random.default_rng(1002)
-    worst = 0.0
+    ok, worst = True, 0.0
     min_rel_sp = np.inf
     two_blocks = 0
     for k in range(500):
@@ -105,12 +102,8 @@ def test_criterion_2_spectral_reconstruction(capsys):
             else random_self_adjoint(rng, n, FLAVOR_STAR)
         )
         dec = star_spectral(m)
-        sigma = dec.sigma_matrix()
-        worst = max(
-            worst,
-            scaled((dec.v @ sigma @ adjoint(dec.v, FLAVOR_STAR) - m).norm(), m.norm()),
-            structure_residual(dec.v, "unitary"),
-        )
+        ok_r, worst_r = judge(m, dec, 0.1)
+        ok, worst = ok and ok_r, max(worst, worst_r)
         for b in dec.blocks:
             if b.size == 2:
                 two_blocks += 1
@@ -123,19 +116,14 @@ def test_criterion_2_spectral_reconstruction(capsys):
             if k % 3 == 0 and n >= 2
             else random_self_adjoint(rng, n, FLAVOR_T)
         )
-        dec = t_spectral(m)
-        sigma = dec.sigma_matrix()
-        worst = max(
-            worst,
-            scaled((dec.v @ sigma @ dec.v.T - m).norm(), m.norm()),
-            structure_residual(dec.v, "t_orthogonal"),
-        )
-    ok = worst <= 1e-9 and two_blocks > 0 and min_rel_sp > 1e-8
+        ok_r, worst_r = judge(m, t_spectral(m), 0.1)
+        ok, worst = ok and ok_r, max(worst, worst_r)
+    ok = ok and two_blocks > 0 and min_rel_sp > 1e-8
     report(
         capsys,
         ok,
         "criterion 2 (spectral reconstruction)",
-        f"worst scaled residual {worst:.3e} (limit 1e-9), "
+        f"worst residual/limit {worst:.3e} (bound 0.1), "
         f"{two_blocks} rotation blocks, min |sigma'|/scale {min_rel_sp:.3e}",
     )
 

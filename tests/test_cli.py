@@ -11,7 +11,7 @@ import pytest
 
 import dualsvd
 from dualsvd import FLAVOR_STAR, FLAVOR_T, Dual, DualMatrix, adjoint, errors
-from dualsvd.cli import _middle_of, build_result, main
+from dualsvd.cli import KIND_FACTORS, KINDS, _middle_of, _verify, build_result, main
 from dualsvd.fileformat import (
     ParseError,
     dumps,
@@ -21,8 +21,12 @@ from dualsvd.fileformat import (
     parse_matrix,
 )
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
-from dualsvd.svd import DEFAULT_SPLIT_TOL, pinv_t, svd
-from conftest import random_degenerate_self_adjoint, random_dual_matrix, random_self_adjoint
+from dualsvd.svd import DEFAULT_SPLIT_TOL, factors_of, invariants, pinv_t, svd, t_polar
+from conftest import (
+    random_degenerate_self_adjoint,
+    random_dual_matrix,
+    random_self_adjoint,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,6 +153,32 @@ class TestDecompose:
             printed[name] = rest.split()[0]
         residuals = loads((tmp_path / "r.json").read_text())["residuals"]
         assert {k: f"residual={v:.3e}" for k, v in residuals.items()} == printed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_verdict_from_the_library_and_from_the_document(self, rng, kind):
+        # invariants() of the library's result and of check's parse of its
+        # document: equal names, residuals and limits, in the same order, and
+        # the residuals that decompose wrote.
+        # Rank-deficient inputs reach the zero block and P0's null space, and
+        # a repeated eigenvalue the star 2x2 blocks.
+        flavor = KIND_FACTORS[kind][0]
+        library = {"t-svd": lambda m: svd(m, "T"), "star-svd": lambda m: svd(m, "star"),
+                   "t-spectral": t_spectral, "star-spectral": star_spectral,
+                   "t-polar": t_polar, "pinv": pinv_t}[kind]
+        for n in (1, 2, 3, 6):
+            if kind.endswith("spectral"):
+                m = random_degenerate_self_adjoint(rng, n, flavor)
+            else:
+                m = random_dual_matrix(rng, n, "generic" if kind == "pinv" else "rankdef")
+            doc = loads(dumps(build_result(m, kind, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)))
+            got = list(invariants(m, *factors_of(library(m))))
+            assert got == list(_verify(m, doc))
+            assert {name: res for name, res, _ in got} == doc["residuals"]
+
+    def test_output_to_a_device_is_success(self, tmp_path):
+        # --output need not be a regular file.
+        inp = write_matrix(tmp_path / "m.json", DualMatrix([[2.0]], [[1.0]]))
+        assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", os.devnull]) == 0
 
     def test_pinv_nonexistent_is_success(self, tmp_path, capsys):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))
@@ -703,7 +733,7 @@ class TestSummary:
 
         def reads_back(kind, m, r):
             doc = build_result(m, f"{flavor.lower()}-{kind}", DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
-            got = _middle_of(loads(dumps(doc)), flavor, m.shape[0])
+            got = tuple(_middle_of(loads(dumps(doc)), flavor, m.shape[0]))
             assert all(np.array_equal(g, w) for g, w in zip(got, r.middle))
             sizes.update(got[2].tolist())
 

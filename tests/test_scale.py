@@ -23,22 +23,19 @@ from dualsvd import (
     NotInvertible,
     NotSymmetric,
     OutOfRange,
-    adjoint,
+    SvdResult,
     classify_transform,
     gram_schmidt,
-    penrose,
     pinv_t,
     split_subspaces,
     star_spectral,
-    structure_residual,
     svd,
     svd_invertible,
     t_polar,
     t_spectral,
 )
 from dualsvd.fileformat import parse_matrix
-from dualsvd.linalg import ORTHONORMAL_TOL
-from conftest import BACKEND_SCALES, random_dual_matrix, random_self_adjoint
+from conftest import BACKEND_SCALES, assert_invariants, random_dual_matrix, random_self_adjoint
 
 REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
 
@@ -105,22 +102,13 @@ def test_power_of_two_scaling_is_exact(rng, kind):
                 assert np.array_equal(np.asarray(a), np.asarray(b) * c**p)
 
 
-def invariant_defects(kind, m, r):
-    """Each invariant's residual divided by its natural scale."""
-    mn = m.norm()
-    if kind.startswith("svd") or kind == "classify":
-        flavor = FLAVOR_T if kind == "svd-T" else FLAVOR_STAR
-        iso = "t_orthogonal" if flavor == FLAVOR_T else "unitary"
-        recon = (r.reconstruct() - m).norm() / mn
-        if kind == "classify":
-            return [structure_residual(r.u, iso), recon]
-        return [structure_residual(r.u, iso), structure_residual(r.v, iso), recon]
-    if kind == "pinv_t":
-        # Each residual over its scale: its limit over ORTHONORMAL_TOL.
-        return [] if r is None else [res * ORTHONORMAL_TOL / lim for _, res, lim in penrose(m, r)]
-    flavor = FLAVOR_T if kind == "t_spectral" else FLAVOR_STAR
-    recon = r.v @ r.sigma_matrix() @ adjoint(r.v, flavor)
-    return [structure_residual(r.v, flavor.isometry), (recon - m).norm() / mn]
+def as_svd(c):
+    """A classification as the *-SVD it states: Form 1 is u diag(sigmas) v*,
+    Form 2 is u Sigma I* with Sigma one 2x2 block."""
+    if c.form == 1:
+        return SvdResult(c.u, c.v, FLAVOR_STAR, (np.array(c.sigma), np.zeros(2), np.ones(2, int)))
+    mid = np.array([c.sigma, c.sigma]), np.array([c.sigma_prime, 0.0]), np.array([2, 0])
+    return SvdResult(c.u, DualMatrix(np.eye(2)), FLAVOR_STAR, mid)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -131,7 +119,8 @@ def test_decimal_scaling_keeps_invariants(rng, kind):
             c = 10.0**k
             mc = DualMatrix(m.std * c, m.inf * c)
             r = run(kind, mc)
-            assert max(invariant_defects(kind, mc, r), default=0.0) <= 1e-8
+            if r is not None:
+                assert_invariants(mc, as_svd(r) if kind == "classify" else r, 1.0)
             if kind == "pinv_t":
                 assert (r is None) == (unit is None)
             if kind == "classify":
@@ -174,8 +163,7 @@ def test_subnormal_norm_is_out_of_range(name, part):
 
 def test_smallest_normal_norm_is_in_range():
     m = DualMatrix(sys.float_info.min * np.diag([1.0, 0.5]))
-    r = svd(m, FLAVOR_T)
-    assert (r.reconstruct() - m).norm() <= 1e-8 * m.norm()
+    assert_invariants(m, svd(m, FLAVOR_T), 1.0)
 
 
 def test_pinv_of_a_subnormal_gaussian_is_out_of_range(rng):

@@ -72,8 +72,7 @@ def child(src: str, out: str, seeds: list) -> int:
     import workloads
     import verify
     from dualsvd import DualLinAlgError, cli, fileformat
-    from dualsvd.spectral import DEFAULT_CLUSTER_TOL
-    from dualsvd.svd import DEFAULT_SPLIT_TOL
+    from dualsvd.linalg import DEFAULT_CLUSTER_TOL, DEFAULT_SPLIT_TOL
 
     tols = DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL  # the only values build_result takes
     results = {}
