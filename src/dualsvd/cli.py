@@ -21,14 +21,15 @@ from .linalg import DEFAULT_CLUSTER_TOL, DEFAULT_SPLIT_TOL, FLAVOR_STAR, FLAVOR_
 from .spectral import star_spectral, t_spectral
 from .svd import factors_of, invariants, pinv_t, svd, t_polar
 
-# Each kind's flavor and the factors its result document carries.
+# Each kind's flavor, call and document factors.  A call looks its function up
+# when it runs, so that it calls a wrapper patched over the module's name.
 KIND_FACTORS = {
-    "t-svd": (FLAVOR_T, ("u", "sigma", "v")),
-    "star-svd": (FLAVOR_STAR, ("u", "sigma", "v")),
-    "t-spectral": (FLAVOR_T, ("v", "sigma")),
-    "star-spectral": (FLAVOR_STAR, ("v", "sigma")),
-    "t-polar": (FLAVOR_T, ("u", "p")),
-    "pinv": (FLAVOR_T, ("pinv",)),
+    "t-svd": (FLAVOR_T, lambda m: svd(m, FLAVOR_T), ("u", "sigma", "v")),
+    "star-svd": (FLAVOR_STAR, lambda m: svd(m, FLAVOR_STAR), ("u", "sigma", "v")),
+    "t-spectral": (FLAVOR_T, lambda m: t_spectral(m), ("v", "sigma")),
+    "star-spectral": (FLAVOR_STAR, lambda m: star_spectral(m), ("v", "sigma")),
+    "t-polar": (FLAVOR_T, lambda m: t_polar(m), ("u", "p")),
+    "pinv": (FLAVOR_T, lambda m: pinv_t(m), ("pinv",)),
 }
 KINDS = tuple(KIND_FACTORS)
 
@@ -41,12 +42,13 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _summary(r) -> dict:
-    """The diagonal (T) or block (star) summary of an SVD or spectral result."""
-    if r.flavor is FLAVOR_STAR:
-        # Block fields are Python numbers, so a block's fields are its JSON entry.
-        return {"blocks": [vars(b) for b in r.blocks]}
-    return {"diag": [list(d) for d in zip(r.middle[0].tolist(), r.middle[1].tolist())]}
+def _summary(flavor, middle) -> dict:
+    """The diagonal (T) or block (star) summary of the per-index arrays
+    (sigma, sigma_prime, size) of a middle factor: the inverse of ``_middle_of``."""
+    rows = zip(*(a.tolist() for a in middle))
+    if flavor is FLAVOR_STAR:
+        return {"blocks": [{"sigma": s, "sigma_prime": p, "size": z} for s, p, z in rows if z]}
+    return {"diag": [[s, p] for s, p, _ in rows]}
 
 
 def _middle_of(doc: dict, flavor, n: int):
@@ -76,21 +78,11 @@ def build_result(m: DualMatrix, kind: str, tol: float, cluster_tol: float) -> di
         raise ValueError("tol and cluster_tol must be the library's constant tolerances")
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
-    flavor = KIND_FACTORS[kind][0]
-    doc: dict = {"kind": kind, "rows": m.shape[0], "cols": m.shape[1], "outcome": "ok"}
-    if kind.endswith("-svd"):
-        r = svd(m, flavor)
-    elif kind.endswith("-spectral"):
-        r = (star_spectral if flavor is FLAVOR_STAR else t_spectral)(m)
-    elif kind == "t-polar":
-        r = t_polar(m)
-    else:
-        r = pinv_t(m)
-        if r is None:
-            doc["outcome"] = "nonexistent"
-    flavor, factors, middle = factors_of(r)
+    flavor, factors, middle = factors_of(KIND_FACTORS[kind][1](m))
+    outcome = "ok" if factors else "nonexistent"
+    doc: dict = {"kind": kind, "rows": m.shape[0], "cols": m.shape[1], "outcome": outcome}
     if middle is not None:
-        doc["summary"] = _summary(r)
+        doc["summary"] = _summary(flavor, middle)
     doc["factors"] = {name: fileformat.matrix_to_obj(a) for name, a in factors.items()}
     doc["residuals"] = {name: res for name, res, _ in invariants(m, flavor, factors, middle)}
     for name, res in doc["residuals"].items():
@@ -104,8 +96,11 @@ def cmd_decompose(args) -> int:
     doc = build_result(m, args.kind, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
     text = fileformat.dumps(doc)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        try:
+            with open(args.output, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -143,10 +138,10 @@ def _verify(m: DualMatrix, doc: dict):
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"result document has unknown kind {kind!r}")
-    if kind == "pinv" and doc.get("outcome") == "nonexistent":
-        yield "nonexistence_confirmed", float(pinv_t(m) is not None), 0.5
+    flavor, call, names = KIND_FACTORS[kind]
+    if doc.get("outcome") == "nonexistent":
+        yield "nonexistence_confirmed", float(call(m) is not None), 0.5
         return
-    flavor, names = KIND_FACTORS[kind]
     factors = {name: _get_factor(doc, name) for name in names}
     yield from invariants(m, flavor, factors, _middle_of(doc, flavor, m.shape[0]))
 

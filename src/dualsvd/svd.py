@@ -182,7 +182,8 @@ def invariants(m: DualMatrix, flavor: str, factors: dict, middle=None):
     ``factors_of`` gives it; ``middle`` is unpacked after the isometry
     residuals.  Each limit is ``ORTHONORMAL_TOL`` times the scale of its
     residual: 1 for an isometry, the scales that ``penrose`` yields for the
-    Penrose identities, and ||M|| for every other residual."""
+    Penrose identities, and ||M|| for every other residual.  A reconstruction
+    that overflows is an inf or NaN residual, formed without numpy's warning."""
     flavor, f = Flavor(flavor), factors
     lim = ORTHONORMAL_TOL * m.norm()
     for name in sorted(f.keys() & {"u", "v"}):
@@ -197,7 +198,9 @@ def invariants(m: DualMatrix, flavor: str, factors: dict, middle=None):
         null = q[:, lam <= 0.5 * DEFAULT_SPLIT_TOL * m.norm()]
         low = np.linalg.eigvalsh(null.T @ f["p"].inf @ null).min(initial=np.inf)
         yield "p_definite", max(0.0, -min(lam.min(initial=np.inf), low)), lim
-        yield "reconstruction", (f["u"] @ f["p"] - m).norm(), lim
+        with np.errstate(over="ignore", invalid="ignore"):
+            recon = (f["u"] @ f["p"] - m).norm()
+        yield "reconstruction", recon, lim
     elif "sigma" in f:
         sigma = f["sigma"]
         pattern = (sigma - middle_matrix(*middle)).norm()
@@ -208,8 +211,9 @@ def invariants(m: DualMatrix, flavor: str, factors: dict, middle=None):
         else:
             yield "sigma_diagonal", pattern, lim
         # U Sigma V^adj, or V Sigma V^adj for a spectral result.
-        recon = f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor)
-        yield "reconstruction", (recon - m).norm(), lim
+        with np.errstate(over="ignore", invalid="ignore"):
+            recon = (f.get("u", f["v"]) @ sigma @ adjoint(f["v"], flavor) - m).norm()
+        yield "reconstruction", recon, lim
     elif "pinv" in f:
         for name, val, limit in penrose(m, f["pinv"]):
             yield f"penrose_{name}", val, limit

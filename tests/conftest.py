@@ -6,13 +6,28 @@ All randomness is seeded per test so failures reproduce exactly.
 import numpy as np
 import pytest
 
-from dualsvd import FLAVOR_T, DualMatrix, factors_of, invariants
+from dualsvd import (
+    FLAVOR_STAR,
+    FLAVOR_T,
+    DualMatrix,
+    SvdResult,
+    factors_of,
+    invariants,
+    star_spectral,
+    t_spectral,
+)
+from dualsvd.cli import KIND_FACTORS
 from dualsvd.linalg import unit_scale
 from dualsvd.svd import DEFAULT_SPLIT_TOL, svd
 
 # Gram-Schmidt and the spectral symmetry precondition judge a matrix against
 # its own norm, so a tiny input is read as the same input at unit scale.
 BACKEND_SCALES = [1.0, 1e-6, 1e-12]
+FLAVORS = (FLAVOR_T, FLAVOR_STAR)
+# The sampling regimes of ``random_dual_matrix``.
+REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
+# The spectral decomposition of each flavor.
+SPECTRAL = {FLAVOR_T: t_spectral, FLAVOR_STAR: star_spectral}
 
 
 def random_dual_matrix(rng, n, regime="generic"):
@@ -61,6 +76,15 @@ def random_degenerate_self_adjoint(rng, n, flavor):
         lam[1] = lam[0]
     inf = rng.standard_normal((n, n))
     return DualMatrix(q @ np.diag(lam) @ q.T, inf + flavor.sign * inf.T)
+
+
+def random_input(rng, n, kind, regime="generic"):
+    """An n x n input that meets a CLI kind's precondition: for a spectral
+    kind, a self-adjoint matrix of its flavor with a repeated eigenvalue (a
+    star 2x2 block); for the others, a draw from ``regime``."""
+    if kind.endswith("spectral"):
+        return random_degenerate_self_adjoint(rng, n, KIND_FACTORS[kind][0])
+    return random_dual_matrix(rng, n, regime)
 
 
 def random_isometry(rng, n, flavor):
@@ -138,6 +162,15 @@ def assert_invariants(m, r, f):
     ratio: the zero matrix's limits are 0."""
     for name, res, lim in invariants(m, *factors_of(r)):
         assert res <= f * lim, f"{name}: {res:.3e} above {f} * {lim:.3e}"
+
+
+def as_svd(c):
+    """A classification as the *-SVD it states: Form 1 is u diag(sigmas) v*,
+    Form 2 is u Sigma I* with Sigma one 2x2 block."""
+    if c.form == 1:
+        return SvdResult(c.u, c.v, FLAVOR_STAR, (np.array(c.sigma), np.zeros(2), np.ones(2, int)))
+    mid = np.array([c.sigma, c.sigma]), np.array([c.sigma_prime, 0.0]), np.array([2, 0])
+    return SvdResult(c.u, DualMatrix(np.eye(2)), FLAVOR_STAR, mid)
 
 
 def check_result(m, r, f=0.1):

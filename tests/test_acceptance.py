@@ -6,7 +6,6 @@ reads as a checklist.
 """
 
 import numpy as np
-import pytest
 
 from dualsvd import (
     FLAVOR_STAR,
@@ -31,15 +30,15 @@ from dualsvd.cli import main
 from dualsvd.fileformat import dumps, matrix_to_obj
 from dualsvd.realspec import sym_eig
 from conftest import (
+    FLAVORS,
+    REGIMES,
+    SPECTRAL,
     random_degenerate_self_adjoint,
     random_dual_matrix,
     random_isometry,
     random_self_adjoint,
     random_vectors,
 )
-
-FLAVORS = (FLAVOR_T, FLAVOR_STAR)
-REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
 
 
 def report(capsys, ok, label, detail):
@@ -137,7 +136,7 @@ def test_criterion_3_eigenvalue_multiset_uniqueness(capsys):
         n = 1 + k % 8
         flavor = FLAVORS[k % 2]
         m = random_self_adjoint(rng, n, flavor)
-        decomp = t_spectral if flavor == FLAVOR_T else star_spectral
+        decomp = SPECTRAL[flavor]
         q = random_isometry(rng, n, flavor)
         conj = q @ m @ adjoint(q, flavor)
         a = eigenvalue_multiset(decomp(m))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dualsvd
-from dualsvd import FLAVOR_STAR, FLAVOR_T, Dual, DualMatrix, adjoint, errors
+from dualsvd import FLAVOR_STAR, FLAVOR_T, DualMatrix, adjoint, errors
 from dualsvd.cli import KIND_FACTORS, KINDS, _middle_of, _verify, build_result, main
 from dualsvd.fileformat import (
     ParseError,
@@ -21,11 +21,13 @@ from dualsvd.fileformat import (
     parse_matrix,
 )
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, star_spectral, t_spectral
-from dualsvd.svd import DEFAULT_SPLIT_TOL, factors_of, invariants, pinv_t, svd, t_polar
+from dualsvd.svd import DEFAULT_SPLIT_TOL, factors_of, invariants, pinv_t, svd
 from conftest import (
+    REGIMES,
+    SPECTRAL,
     random_degenerate_self_adjoint,
     random_dual_matrix,
-    random_self_adjoint,
+    random_input,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -126,22 +128,9 @@ class TestFileFormat:
 
 
 class TestDecompose:
-    @pytest.mark.parametrize(
-        "kind",
-        ["t-svd", "star-svd", "t-spectral", "star-spectral", "t-polar", "pinv"],
-    )
+    @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_check_passes(self, tmp_path, rng, capsys, kind):
-        if kind == "t-spectral":
-            std = rng.standard_normal((3, 3))
-            inf = rng.standard_normal((3, 3))
-            m = DualMatrix(std + std.T, inf + inf.T)
-        elif kind == "star-spectral":
-            std = rng.standard_normal((3, 3))
-            inf = rng.standard_normal((3, 3))
-            m = DualMatrix(std + std.T, inf - inf.T)
-        else:
-            m = random_dual_matrix(rng, 3, "generic")
-        inp = write_matrix(tmp_path / "m.json", m)
+        inp = write_matrix(tmp_path / "m.json", random_input(rng, 3, kind))
         out = str(tmp_path / "r.json")
         assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
         capsys.readouterr()
@@ -161,17 +150,11 @@ class TestDecompose:
         # the residuals that decompose wrote.
         # Rank-deficient inputs reach the zero block and P0's null space, and
         # a repeated eigenvalue the star 2x2 blocks.
-        flavor = KIND_FACTORS[kind][0]
-        library = {"t-svd": lambda m: svd(m, "T"), "star-svd": lambda m: svd(m, "star"),
-                   "t-spectral": t_spectral, "star-spectral": star_spectral,
-                   "t-polar": t_polar, "pinv": pinv_t}[kind]
+        call = KIND_FACTORS[kind][1]
         for n in (1, 2, 3, 6):
-            if kind.endswith("spectral"):
-                m = random_degenerate_self_adjoint(rng, n, flavor)
-            else:
-                m = random_dual_matrix(rng, n, "generic" if kind == "pinv" else "rankdef")
+            m = random_input(rng, n, kind, "generic" if kind == "pinv" else "rankdef")
             doc = loads(dumps(build_result(m, kind, DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)))
-            got = list(invariants(m, *factors_of(library(m))))
+            got = list(invariants(m, *factors_of(call(m))))
             assert got == list(_verify(m, doc))
             assert {name: res for name, res, _ in got} == doc["residuals"]
 
@@ -179,6 +162,12 @@ class TestDecompose:
         # --output need not be a regular file.
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[2.0]], [[1.0]]))
         assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", os.devnull]) == 0
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        inp = write_matrix(tmp_path / "m.json", DualMatrix([[2.0]], [[1.0]]))
+        out = tmp_path / "absent" / "r.json"
+        assert main(["decompose", "--kind", "t-svd", "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}: ")
 
     def test_pinv_nonexistent_is_success(self, tmp_path, capsys):
         inp = write_matrix(tmp_path / "m.json", DualMatrix([[0.0]], [[1.0]]))
@@ -220,14 +209,6 @@ class TestDecompose:
         assert main(["decompose", "--kind", "t-svd", "--input", str(tmp_path / "absent.json")]) == 2
         with pytest.raises(ParseError, match="unknown kind"):
             build_result(DualMatrix(np.eye(2)), "lu", DEFAULT_SPLIT_TOL, DEFAULT_CLUSTER_TOL)
-
-    def test_pinv_rank_deficient_n32(self, tmp_path, capsys):
-        # n=32, rank 31, smallest appreciable singular value 4.9e-3: the SVD
-        # used to rebuild U by Gram-Schmidt here and exit 3 (DegenerateInput).
-        inp = str(Path(__file__).parent / "data" / "pinv_n32_rank31.json")
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
 
     def test_exit_3_errors_share_one_base(self):
         eight = {
@@ -298,14 +279,6 @@ class TestDecompose:
         assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not out.exists()
-
-    def test_ill_conditioned_data_file_exits_4(self, tmp_path, capsys):
-        inp = str(DATA / "pinv_ill_conditioned_3x3.json")
-        out = tmp_path / "r.json"
-        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", str(out)]) == 4
-        msg = "Penrose mx_symmetric: 3.427e-08 > limit 1.000e-08"
-        assert capsys.readouterr().err == f"error: VerificationError: {msg}\n"
         assert not out.exists()
 
 
@@ -429,7 +402,6 @@ class TestCheck:
         absent = str(tmp_path / "absent.json")
         assert main(["check", "--input", inp, "--result", absent]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_residual_fails(self, tmp_path, capsys):
         # u = I + eps*[[0, 1e308], [-1e308, 0]] is exactly T-orthogonal, but
         # U Sigma U^T overflows to inf - inf = NaN in its infinitesimal part.
@@ -445,25 +417,6 @@ class TestCheck:
         assert main(["check", "--input", inp, "--result", str(out)]) == 4
         assert "reconstruction: residual=nan" in capsys.readouterr().out
 
-    def test_pinv_at_tiny_norm_passes(self, tmp_path, capsys):
-        # ||M|| = 2.5e-9 puts ||X|| near 4e9: XMX - X is judged against ||X||
-        # and MXM - M against ||M||, not both against max(1, ||M||).
-        inp = str(Path(__file__).parent / "data" / "pinv_n3_tiny_norm.json")
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [ln for ln in lines if ln.startswith("penrose_mxm:")][0].endswith("limit=2.500e-17")
-
-    @pytest.mark.parametrize("kind", ["t-svd", "star-svd"])
-    def test_small_distinct_pair_passes(self, tmp_path, kind):
-        # Singular values 1e-3 + 1e-5 and 1e-3 next to s_1 = 1.5 are two
-        # clusters: merged, the reconstruction would miss M by about 3e-6.
-        inp = str(Path(__file__).parent / "data" / "svd_small_pair.json")
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
-
     def test_limits_scale_with_a_tiny_m(self, tmp_path):
         # At ||M|| = 2e-6 a reconstruction off by 1e-10 is off by 5e-5 of M;
         # a limit of tol*max(1, ||M||) = 1e-8 let it pass.
@@ -476,89 +429,6 @@ class TestCheck:
         out.write_text(dumps(doc))
         assert main(["check", "--input", inp, "--result", str(out)]) == 4
 
-    @pytest.mark.parametrize("kind", ["pinv", "t-svd", "star-svd", "t-polar"])
-    def test_subnormal_norm_exits_3(self, tmp_path, capsys, kind):
-        # Before: pinv exited 2 (it could not serialize an infinite X), and the
-        # other kinds exited 0 with results that check failed (exit 4).
-        inp = str(Path(__file__).parent / "data" / "subnormal_2x2.json")
-        out = tmp_path / "r.json"
-        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
-        assert "OutOfRange" in capsys.readouterr().err and not out.exists()
-
-    @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral"])
-    def test_overflowing_middle_factor_exits_3(self, tmp_path, capsys, kind):
-        # Every entry is 1.5e308, so the largest singular value and eigenvalue
-        # are 3e308.  Before, scaling them back by c overflowed to inf (with a
-        # RuntimeWarning) and decompose exited 2, unable to serialize Sigma.
-        inp = str(Path(__file__).parent / "data" / "overflow_2x2.json")
-        out = tmp_path / "r.json"
-        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
-        assert "OutOfRange" in capsys.readouterr().err and not out.exists()
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind", ["t-svd"])
-    def test_overflowing_product_exits_3(self, tmp_path, capsys, kind):
-        # Sigma fits (8.6e307, 6.3e307), but U Sigma in the reconstruction
-        # overflows.  Before, decompose exited 2: it could not serialize the
-        # infinite residual.
-        inp = str(DATA / "product_overflow_2x2.json")
-        out = tmp_path / "r.json"
-        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "OutOfRange" in err and "not finite" in err and not out.exists()
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind", ["star-svd", "pinv"])
-    def test_product_overflow_input_passes_other_kinds(self, tmp_path, kind):
-        inp = str(DATA / "product_overflow_2x2.json")
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", kind, "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name", ["overflow_2x2.json", "product_overflow_2x2.json"])
-    def test_t_polar_near_the_top_of_the_range_passes(self, tmp_path, name):
-        # P is read off B~ at unit scale and range-tested, and neither sigma
-        # nor U1 Sigma is formed, so both files get a finite polar factor.
-        # Before, decompose exited 3 on both.
-        inp = str(DATA / name)
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", "t-polar", "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_star_svd_near_the_top_of_the_range_does_not_warn(self, tmp_path):
-        # A pure-eps 5x5 with sigma' = 1.46e308.  The old block-form check
-        # overflowed in Sigma_eps + Sigma_eps^T on the diagonal, which it then
-        # masked out: a right verdict with a RuntimeWarning.
-        inp = str(DATA / "eps_overflow_5x5.json")
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", "star-svd", "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "name, kind, error",
-        [
-            ("symmetric_4x4.json", "t-spectral", None),
-            ("symmetric_4x4.json", "star-spectral", "NotHermitian"),
-            ("hermitian_4x4.json", "star-spectral", None),
-            ("hermitian_4x4.json", "t-spectral", "NotSymmetric"),
-        ],
-    )
-    def test_spectral_data_files(self, tmp_path, capsys, name, kind, error):
-        # Each spectral kind decomposes and checks the file that meets its
-        # symmetry precondition, and exits 3 on the other one.
-        inp = str(DATA / name)
-        out = tmp_path / "r.json"
-        argv = ["decompose", "--kind", kind, "--input", inp, "--output", str(out)]
-        if error is None:
-            assert main(argv) == 0
-            assert main(["check", "--input", inp, "--result", str(out)]) == 0
-        else:
-            assert main(argv) == 3
-            assert error in capsys.readouterr().err and not out.exists()
-
     def test_overflowing_hermitian_exits_3(self, tmp_path, capsys):
         big = 1.5e308
         m = DualMatrix(np.full((2, 2), big), [[0.0, big], [-big, 0.0]])
@@ -566,13 +436,6 @@ class TestCheck:
         argv = ["decompose", "--kind", "star-spectral", "--input", inp]
         assert main(argv) == 3
         assert "OutOfRange" in capsys.readouterr().err
-
-    def test_pinv_of_an_overflowing_matrix_passes(self, tmp_path):
-        # X is about 1/||M||, far inside the range.
-        inp = str(Path(__file__).parent / "data" / "overflow_2x2.json")
-        out = str(tmp_path / "r.json")
-        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", out]) == 0
-        assert main(["check", "--input", inp, "--result", out]) == 0
 
     @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-polar", "pinv"])
     def test_largest_singular_value_that_fits_passes(self, tmp_path, kind):
@@ -621,12 +484,78 @@ class TestCheck:
         main(["decompose", "--kind", "pinv", "--input", inp, "--output", out])
         assert main(["check", "--input", inp, "--result", out]) == 0
 
-    def test_pure_eps_data_file_is_nonexistent(self, tmp_path):
-        inp = str(DATA / "pinv_nonexistent_2x2.json")
-        out = tmp_path / "r.json"
-        assert main(["decompose", "--kind", "pinv", "--input", inp, "--output", str(out)]) == 0
-        assert loads(out.read_text())["outcome"] == "nonexistent"
-        assert main(["check", "--input", inp, "--result", str(out)]) == 0
+    def test_nonexistence_claimed_for_an_existing_result_fails(self, tmp_path, rng, capsys):
+        # check calls the document's kind again: a T-SVD always exists.
+        inp, out, doc = decomposed(tmp_path, "t-svd", random_dual_matrix(rng, 3))
+        out.write_text(dumps(dict(doc, outcome="nonexistent")))
+        assert main(["check", "--input", inp, "--result", str(out)]) == 4
+        assert "verification failed: nonexistence_confirmed" in capsys.readouterr().err
+
+
+# What each file under tests/data does under a kind, or under classify: the
+# exit code, and text that stderr holds, or on exit 0 the stdout of check
+# (of classify itself for classify).  Every row runs under the suite's
+# error::RuntimeWarning filter, so none may warn.
+DATA_FILES = [
+    # n = 32, rank 31: the zero block's delta is appreciable, so no pinv.
+    # The SVD used to rebuild U by Gram-Schmidt here and exit 3.
+    ("pinv_n32_rank31", "pinv", 0, "nonexistence_confirmed: residual=0.000e+00"),
+    # cond(A) = 2.3e4: pinv_t's Penrose self-check raises.
+    ("pinv_ill_conditioned_3x3", "pinv", 4,
+     "error: VerificationError: Penrose mx_symmetric: 3.427e-08 > limit 1.000e-08\n"),
+    # ||M|| = 2.5e-9 puts ||X|| near 4e9: only MXM - M is judged against
+    # ||M||, so only its limit is this small.
+    ("pinv_n3_tiny_norm", "pinv", 0, "limit=2.500e-17"),
+    # Singular values 1e-3 + 1e-5 and 1e-3 next to 1.5 are two clusters:
+    # merged, the reconstruction would miss M by about 3e-6.
+    ("svd_small_pair", "t-svd", 0, "reconstruction: residual="),
+    ("svd_small_pair", "star-svd", 0, "reconstruction: residual="),
+    # A subnormal ||M|| is out of float64's range.
+    *[("subnormal_2x2", k, 3, "OutOfRange: ||M|| = 4.941e-324")
+      for k in ("pinv", "t-svd", "star-svd", "t-polar")],
+    # Every entry is 1.5e308: the largest singular value and eigenvalue,
+    # 3e308, overflow when scaled back.
+    *[("overflow_2x2", k, 3, "OutOfRange: a factor scaled back")
+      for k in ("t-svd", "star-svd", "t-spectral")],
+    # Sigma fits (8.6e307, 6.3e307), but U Sigma in the reconstruction overflows.
+    ("product_overflow_2x2", "t-svd", 3, "OutOfRange: residual reconstruction is not finite"),
+    ("product_overflow_2x2", "star-svd", 0, "reconstruction: residual="),
+    ("product_overflow_2x2", "pinv", 0, "penrose_mxm: residual="),
+    # P is read off B~ at unit scale, and neither sigma nor U1 Sigma is formed.
+    ("overflow_2x2", "t-polar", 0, "p_definite: residual=0.000e+00"),
+    ("product_overflow_2x2", "t-polar", 0, "p_definite: residual=0.000e+00"),
+    # X is about 1/||M||, far inside the range.
+    ("overflow_2x2", "pinv", 0, "penrose_mxm: residual="),
+    # A pure-eps 5x5 with sigma' = 1.46e308.
+    ("eps_overflow_5x5", "star-svd", 0, "sigma_block_form: residual=0.000e+00"),
+    # Each spectral kind passes the file that meets its symmetry precondition.
+    ("symmetric_4x4", "t-spectral", 0, "sigma_diagonal: residual=0.000e+00"),
+    ("symmetric_4x4", "star-spectral", 3, "NotHermitian"),
+    ("hermitian_4x4", "star-spectral", 0, "sigma_hermitian: residual=0.000e+00"),
+    ("hermitian_4x4", "t-spectral", 3, "NotSymmetric"),
+    # A pure-eps input has no pseudoinverse; check confirms the outcome.
+    ("pinv_nonexistent_2x2", "pinv", 0, "nonexistence_confirmed: residual=0.000e+00"),
+    # classify takes a 2x2 input only.
+    ("product_overflow_2x2", "classify", 0, "form=1\n"),
+    ("symmetric_4x4", "classify", 3, "DimensionMismatch"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, kind, code, text", DATA_FILES, ids=[f"{name}-{kind}" for name, kind, *_ in DATA_FILES]
+)
+def test_data_file(tmp_path, capsys, name, kind, code, text):
+    inp, out = str(DATA / f"{name}.json"), tmp_path / "r.json"
+    if kind == "classify":
+        assert main(["classify", "--input", inp]) == code
+    else:
+        assert main(["decompose", "--kind", kind, "--input", inp, "--output", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code == 0:
+            capsys.readouterr()
+            assert main(["check", "--input", inp, "--result", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert text in (captured.err if code else captured.out)
 
 
 def decomposed(tmp_path, kind, m):
@@ -676,11 +605,7 @@ class TestSummary:
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_summary_exits_2(self, tmp_path, rng, capsys, case):
         kind, spoil = MALFORMED[case]
-        if kind == "t-spectral":
-            m = random_self_adjoint(rng, 3, FLAVOR_T)
-        else:
-            m = random_dual_matrix(rng, 3)
-        inp, out, doc = decomposed(tmp_path, kind, m)
+        inp, out, doc = decomposed(tmp_path, kind, random_input(rng, 3, kind))
         spoil(doc)
         out.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
         assert main(["check", "--input", inp, "--result", str(out)]) == 2
@@ -690,12 +615,7 @@ class TestSummary:
     @pytest.mark.parametrize("kind", ["t-svd", "star-svd", "t-spectral", "star-spectral"])
     def test_moved_summary_value_exits_4(self, tmp_path, rng, capsys, kind, field):
         # A degenerate Hermitian M puts a 2x2 block first in star-spectral.
-        if kind == "t-spectral":
-            m = random_self_adjoint(rng, 4, FLAVOR_T)
-        elif kind == "star-spectral":
-            m = random_degenerate_self_adjoint(rng, 4, FLAVOR_STAR)
-        else:
-            m = random_dual_matrix(rng, 4)
+        m = random_input(rng, 4, kind)
         inp, out, doc = decomposed(tmp_path, kind, m)
         assert main(["check", "--input", inp, "--result", str(out)]) == 0
         if kind.startswith("star"):
@@ -728,7 +648,7 @@ class TestSummary:
     @pytest.mark.parametrize("flavor", [FLAVOR_T, FLAVOR_STAR])
     def test_summary_reads_back_as_the_held_middle(self, rng, flavor):
         star = flavor is FLAVOR_STAR
-        spectral = star_spectral if star else t_spectral
+        spectral = SPECTRAL[flavor]
         sizes = set()
 
         def reads_back(kind, m, r):
@@ -738,7 +658,7 @@ class TestSummary:
             sizes.update(got[2].tolist())
 
         for n in range(9):
-            for regime in ("generic", "rankdef", "pure_inf", "zero_lines"):
+            for regime in REGIMES:
                 a = random_dual_matrix(rng, n, regime)
                 h = a + adjoint(a, flavor)
                 reads_back("svd", a, svd(a, flavor))

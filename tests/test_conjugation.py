@@ -9,20 +9,8 @@ same for M and for P M P^adj.
 import numpy as np
 import pytest
 
-from dualsvd import (
-    FLAVOR_STAR,
-    FLAVOR_T,
-    adjoint,
-    eigenvalue_multiset,
-    star_spectral,
-    svd,
-    t_spectral,
-)
-from conftest import random_dual_matrix, random_isometry
-
-FLAVORS = (FLAVOR_T, FLAVOR_STAR)
-REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
-SPECTRAL = {FLAVOR_T: t_spectral, FLAVOR_STAR: star_spectral}
+from dualsvd import adjoint, eigenvalue_multiset, svd
+from conftest import FLAVORS, REGIMES, SPECTRAL, random_dual_matrix, random_isometry
 
 
 def svd_invariants(m, flavor):

@@ -18,23 +18,12 @@ to 2e-11 * ||M|| for a sigma' whose neighbour is about 1e-6 away, and
 import numpy as np
 import pytest
 
-from dualsvd import (
-    FLAVOR_STAR,
-    FLAVOR_T,
-    DualMatrix,
-    adjoint,
-    pinv_t,
-    star_spectral,
-    svd,
-    t_polar,
-    t_spectral,
-)
+from dualsvd import FLAVOR_T, DualMatrix, adjoint, pinv_t, svd, t_polar
 from dualsvd.svd import DEFAULT_SPLIT_TOL
-from conftest import random_dual_matrix, random_isometry
+from conftest import FLAVORS, REGIMES, SPECTRAL, random_dual_matrix, random_isometry
 
 LIMIT = 0.01 * DEFAULT_SPLIT_TOL
-FLAVORS = (FLAVOR_T, FLAVOR_STAR)
-REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines", "clustered")
+REGIMES = (*REGIMES, "clustered")
 SIZES = (16, 32, 64, 128)
 DRAWS = 3
 
@@ -72,7 +61,7 @@ def test_svd_sigma_is_invariant(rng, flavor, regime):
 @pytest.mark.parametrize("flavor", FLAVORS)
 @pytest.mark.parametrize("regime", REGIMES)
 def test_spectral_sigma_is_invariant(rng, flavor, regime):
-    decompose = t_spectral if flavor is FLAVOR_T else star_spectral
+    decompose = SPECTRAL[flavor]
     for n in SIZES:
         for _ in range(DRAWS):
             a = draw(rng, n, regime)

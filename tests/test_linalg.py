@@ -26,9 +26,7 @@ from dualsvd import (
     svd_invertible,
     t_form,
 )
-from conftest import dual_abs_max, random_vectors
-
-FLAVORS = (FLAVOR_T, FLAVOR_STAR)
+from conftest import FLAVORS, dual_abs_max, random_vectors
 
 
 class TestMatrixOps:

@@ -23,7 +23,6 @@ from dualsvd import (
     NotInvertible,
     NotSymmetric,
     OutOfRange,
-    SvdResult,
     classify_transform,
     gram_schmidt,
     pinv_t,
@@ -35,9 +34,14 @@ from dualsvd import (
     t_spectral,
 )
 from dualsvd.fileformat import parse_matrix
-from conftest import BACKEND_SCALES, assert_invariants, random_dual_matrix, random_self_adjoint
-
-REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
+from conftest import (
+    BACKEND_SCALES,
+    REGIMES,
+    as_svd,
+    assert_invariants,
+    random_dual_matrix,
+    random_self_adjoint,
+)
 
 
 def draws(rng, kind):
@@ -100,15 +104,6 @@ def test_power_of_two_scaling_is_exact(rng, kind):
                 assert np.array_equal(a, b)
             for a, b in zip(scaled_c, scaled):
                 assert np.array_equal(np.asarray(a), np.asarray(b) * c**p)
-
-
-def as_svd(c):
-    """A classification as the *-SVD it states: Form 1 is u diag(sigmas) v*,
-    Form 2 is u Sigma I* with Sigma one 2x2 block."""
-    if c.form == 1:
-        return SvdResult(c.u, c.v, FLAVOR_STAR, (np.array(c.sigma), np.zeros(2), np.ones(2, int)))
-    mid = np.array([c.sigma, c.sigma]), np.array([c.sigma_prime, 0.0]), np.array([2, 0])
-    return SvdResult(c.u, DualMatrix(np.eye(2)), FLAVOR_STAR, mid)
 
 
 @pytest.mark.parametrize("kind", KINDS)

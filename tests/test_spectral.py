@@ -20,6 +20,7 @@ from dualsvd.realspec import sym_eig
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, _cluster_runs, middle_matrix
 from conftest import (
     BACKEND_SCALES,
+    SPECTRAL,
     assert_invariants,
     block_matrix_loop,
     check_result,
@@ -153,7 +154,7 @@ def test_near_boundary_cluster_reconstructs(flavor, spread):
     b[0, 2] = b[1, 2] = 1.0
     b = b + b.T if flavor == FLAVOR_T else b - b.T
     m = DualMatrix(np.diag([1.0 + spread, 1.0, 0.9]), b)
-    dec = (t_spectral if flavor == FLAVOR_T else star_spectral)(m)
+    dec = SPECTRAL[flavor](m)
     assert_invariants(m, dec, 1.0)
 
 
@@ -168,7 +169,7 @@ def test_inf_dominated_pair_is_one_cluster(rng, flavor):
         b = rng.standard_normal((5, 5))
         b = b + b.T if flavor == FLAVOR_T else b - b.T
         m = DualMatrix(q @ np.diag(d) @ q.T, 1.9 * b / np.abs(b).max())
-        dec = (t_spectral if flavor == FLAVOR_T else star_spectral)(m)
+        dec = SPECTRAL[flavor](m)
         assert_invariants(m, dec, 1.0)
 
 
@@ -190,7 +191,7 @@ class TestEigenvalueMultiset:
     def test_invariant_under_isometry_conjugation(self, rng, flavor):
         for n in (2, 3, 5):
             m = random_self_adjoint(rng, n, flavor)
-            decomp = t_spectral if flavor == FLAVOR_T else star_spectral
+            decomp = SPECTRAL[flavor]
             q = random_isometry(rng, n, flavor)
             conj = q @ m @ adjoint(q, flavor)
             a = eigenvalue_multiset(decomp(m))
@@ -293,7 +294,7 @@ class TestPlantedTruth:
     def test_recovers_the_planted_middle_factor(self, flavor, n):
         # The worst draw came to 1.5*n*eps*||M||.
         rng = np.random.default_rng(24)
-        decomp = t_spectral if flavor == FLAVOR_T else star_spectral
+        decomp = SPECTRAL[flavor]
         for _ in range(3):
             m, (d, dp, size) = planted_spectral(rng, n, flavor)
             got = decomp(m).middle

@@ -21,15 +21,16 @@ from dualsvd import (
     penrose,
     pinv_t,
     split_subspaces,
-    star_spectral,
     svd,
     svd_invertible,
     t_polar,
-    t_spectral,
 )
 from dualsvd.fileformat import parse_matrix
 from dualsvd.spectral import DEFAULT_CLUSTER_TOL, middle_matrix
 from conftest import (
+    FLAVORS,
+    REGIMES,
+    SPECTRAL,
     assert_invariants,
     block_matrix_loop,
     check_result,
@@ -40,8 +41,6 @@ from conftest import (
     random_isometry,
 )
 
-FLAVORS = (FLAVOR_T, FLAVOR_STAR)
-REGIMES = ("generic", "rankdef", "pure_inf", "zero_lines")
 DATA = Path(__file__).parent / "data"
 
 
@@ -217,7 +216,7 @@ class TestAgainstSpectralRoute:
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_squared_middle_factor_matches_gram_spectrum(self, rng, flavor, n):
-        spectral = t_spectral if flavor == FLAVOR_T else star_spectral
+        spectral = SPECTRAL[flavor]
         for _ in range(4):
             m = random_dual_matrix(rng, n, "generic")
             w = adjoint(m, flavor) @ m
