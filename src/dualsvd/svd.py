@@ -168,13 +168,16 @@ def penrose(m: DualMatrix, x: DualMatrix):
     """Yield (name, residual, limit) for each of the four Penrose identities
     with the T-transpose.  Each limit is ``ORTHONORMAL_TOL`` times the scale of
     its residual: MXM - M scales like M and XMX - X like X; MX and XM are
-    dimensionless, so their symmetry defects get ``ORTHONORMAL_TOL`` itself."""
+    dimensionless, so their symmetry defects get ``ORTHONORMAL_TOL`` itself.
+    An overflowing product is an inf or NaN residual, formed without a warning."""
     t = ORTHONORMAL_TOL
-    mx, xm = m @ x, x @ m
-    yield "mxm", (mx @ m - m).norm(), t * m.norm()
-    yield "xmx", (xm @ x - x).norm(), t * x.norm()
-    yield "mx_symmetric", (mx - mx.T).norm(), t
-    yield "xm_symmetric", (xm - xm.T).norm(), t
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx, xm = m @ x, x @ m
+        found = [("mxm", (mx @ m - m).norm(), t * m.norm()),
+                 ("xmx", (xm @ x - x).norm(), t * x.norm()),
+                 ("mx_symmetric", (mx - mx.T).norm(), t),
+                 ("xm_symmetric", (xm - xm.T).norm(), t)]
+    yield from found
 
 
 def invariants(m: DualMatrix, flavor: str, factors: dict, middle=None):

@@ -451,11 +451,6 @@ def pinv_exists_1x1(a, b):
     return a != 0.0 or b == 0.0
 
 
-def within_penrose_limits(m, x):
-    """Every Penrose residual within its limit at its own scale."""
-    return all(r <= lim for _, r, lim in penrose(m, x))
-
-
 class TestPinv:
     def test_scalar_inverse(self):
         x = pinv_t(DualMatrix([[2.0]]))
@@ -492,7 +487,7 @@ class TestPinv:
             got = pinv_t(m)
             if pinv_exists_1x1(a, b):
                 assert got is not None
-                assert within_penrose_limits(m, got)
+                assert_invariants(m, got, 1.0)
             else:
                 assert got is None
 
@@ -528,7 +523,7 @@ class TestPinv:
                 m = random_dual_matrix(rng, 4, regime)
                 x = pinv_t(m)
                 if x is not None:
-                    assert within_penrose_limits(m, x)
+                    assert_invariants(m, x, 1.0)
 
     def test_penrose_limits_scale_per_identity(self, rng):
         # MXM - M is judged against ||M||, XMX - X against ||X||, and the
